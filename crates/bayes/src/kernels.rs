@@ -1019,27 +1019,29 @@ impl LaneBuf {
     /// Builds a buffer holding `values`, padded to a lane multiple with
     /// `pad_value`.
     pub fn new(values: &[f64], pad_value: f64) -> LaneBuf {
-        let len = values.len();
+        let mut buf = LaneBuf::filled(values.len(), pad_value);
+        buf.as_mut_slice().copy_from_slice(values);
+        buf
+    }
+
+    /// A buffer of `len` logical elements, all set to `fill` (which is
+    /// also the padding value). The one allocation is the buffer's own
+    /// storage; callers then write the logical values in place through
+    /// [`Self::as_mut_slice`].
+    pub fn filled(len: usize, fill: f64) -> LaneBuf {
         let padded = len.div_ceil(LANES) * LANES;
-        let mut storage = vec![pad_value; padded + LINE_F64S].into_boxed_slice();
+        let storage = vec![fill; padded + LINE_F64S].into_boxed_slice();
         let offset = {
             let addr = storage.as_ptr() as usize;
             (CACHE_LINE - addr % CACHE_LINE) % CACHE_LINE / std::mem::size_of::<f64>()
         };
-        storage[offset..offset + len].copy_from_slice(values);
         LaneBuf {
             storage,
             offset,
             padded,
             len,
-            pad_value,
+            pad_value: fill,
         }
-    }
-
-    /// A buffer of `len` logical elements, all set to `fill` (which is
-    /// also the padding value).
-    pub fn filled(len: usize, fill: f64) -> LaneBuf {
-        LaneBuf::new(&vec![fill; len], fill)
     }
 
     /// Logical (unpadded) length.
@@ -1071,6 +1073,11 @@ impl LaneBuf {
     /// The logical (unpadded) values.
     pub fn as_slice(&self) -> &[f64] {
         &self.storage[self.offset..self.offset + self.len]
+    }
+
+    /// Mutable logical (unpadded) values; the padding is out of reach.
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.storage[self.offset..self.offset + self.len]
     }
 }
 

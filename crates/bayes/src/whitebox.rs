@@ -330,20 +330,29 @@ impl WhiteBoxInference {
         let q_grid = coincidence.q_grid(resolution.q_cells);
         let q_points = q_grid.len();
 
+        // Every table starts as the dead-cell encoding (which is also
+        // the lane padding, so chunked sweeps can cover the padding
+        // lanes without affecting any result); the loop then writes
+        // each live cell's values straight into place.
         let cells = na * nb * q_points;
-        let mut ln_prior = Vec::with_capacity(cells);
-        let mut ln_p11 = Vec::with_capacity(cells);
-        let mut ln_p10 = Vec::with_capacity(cells);
-        let mut ln_p01 = Vec::with_capacity(cells);
-        let mut ln_p00 = Vec::with_capacity(cells);
+        let dead = || LaneBuf::filled(cells, f64::NEG_INFINITY);
+        let (mut ln_prior, mut ln_p11, mut ln_p10, mut ln_p01, mut ln_p00) =
+            (dead(), dead(), dead(), dead(), dead());
         let mut p_ab_values = Vec::with_capacity(cells);
-
+        let (prior_w, p11_w, p10_w, p01_w, p00_w) = (
+            ln_prior.as_mut_slice(),
+            ln_p11.as_mut_slice(),
+            ln_p10.as_mut_slice(),
+            ln_p01.as_mut_slice(),
+            ln_p00.as_mut_slice(),
+        );
         for i in 0..na {
             let pa = 0.5 * (a_edges[i] + a_edges[i + 1]);
             for j in 0..nb {
                 let pb = 0.5 * (b_edges[j] + b_edges[j + 1]);
                 let base_mass = a_mass[i] * b_mass[j];
                 for &(qp, q_mass) in &q_grid {
+                    let c = p_ab_values.len();
                     let p11 = qp.p_ab(pa, pb);
                     let p10 = pa - p11;
                     let p01 = pb - p11;
@@ -351,18 +360,12 @@ impl WhiteBoxInference {
                     let prior = base_mass * q_mass;
                     let valid = prior > 0.0 && p11 >= 0.0 && p10 >= 0.0 && p01 >= 0.0 && p00 > 0.0;
                     if valid {
-                        ln_prior.push(prior.ln());
+                        prior_w[c] = prior.ln();
                         // ln(0) = -inf is fine: xlny handles zero counts.
-                        ln_p11.push(p11.ln());
-                        ln_p10.push(p10.ln());
-                        ln_p01.push(p01.ln());
-                        ln_p00.push(p00.ln());
-                    } else {
-                        ln_prior.push(f64::NEG_INFINITY);
-                        ln_p11.push(f64::NEG_INFINITY);
-                        ln_p10.push(f64::NEG_INFINITY);
-                        ln_p01.push(f64::NEG_INFINITY);
-                        ln_p00.push(f64::NEG_INFINITY);
+                        p11_w[c] = p11.ln();
+                        p10_w[c] = p10.ln();
+                        p01_w[c] = p01.ln();
+                        p00_w[c] = p00.ln();
                     }
                     p_ab_values.push(p11);
                 }
@@ -377,13 +380,11 @@ impl WhiteBoxInference {
             tables: Arc::new(GridTables {
                 a_edges,
                 b_edges,
-                // Pad with the dead-cell encoding so chunked sweeps can
-                // cover the padding lanes without affecting any result.
-                ln_prior: LaneBuf::new(&ln_prior, f64::NEG_INFINITY),
-                ln_p11: LaneBuf::new(&ln_p11, f64::NEG_INFINITY),
-                ln_p10: LaneBuf::new(&ln_p10, f64::NEG_INFINITY),
-                ln_p01: LaneBuf::new(&ln_p01, f64::NEG_INFINITY),
-                ln_p00: LaneBuf::new(&ln_p00, f64::NEG_INFINITY),
+                ln_prior,
+                ln_p11,
+                ln_p10,
+                ln_p01,
+                ln_p00,
                 p_ab: p_ab_values,
                 q_points,
                 pab_range: prior_a.range().min(prior_b.range()),

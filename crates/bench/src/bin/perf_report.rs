@@ -209,6 +209,22 @@ fn main() -> std::io::Result<()> {
             },
         ));
     }
+    // The same pair for the white-box Bayes studies of the Table 2
+    // spread, which fan out over the same pool.
+    for jobs in [1usize, 4] {
+        entries.push(time_runs(
+            &format!("experiments/table2_spread/{scale}/jobs{jobs}"),
+            samples,
+            || {
+                std::hint::black_box(table2::spread_of(&table2::run_table2_jobs(
+                    &seeds,
+                    &study1,
+                    &study2,
+                    Jobs::new(jobs),
+                )));
+            },
+        ));
+    }
 
     let path = out_dir.join("BENCH_experiments.json");
     write_json(&path, "BENCH_experiments", &entries)?;

@@ -23,7 +23,7 @@ use wsu_workload::runs::RunSpec;
 use wsu_workload::scenario::Scenario;
 use wsu_workload::timing::ExecTimeModel;
 
-use crate::bayes_study::{run_study, Detection, StudyConfig};
+use crate::bayes_study::{run_studies, run_study, Detection, Study, StudyConfig};
 use crate::figures::confidence_error_bound_holds;
 use crate::midsim::{simulate_cell, CellResult};
 use crate::report::TextTable;
@@ -142,29 +142,40 @@ pub fn run_coverage_ablation(config: &StudyConfig, p_omits: &[f64]) -> Vec<Cover
 }
 
 /// [`run_coverage_ablation`] over a worker pool: the perfect-detection
-/// baseline runs first (every row compares against it), then one
-/// replication per omission probability. Rows come back in `p_omits`
-/// order, so the output is identical for any `jobs`.
+/// baseline (every row compares against it) and one study per nonzero
+/// omission probability run as one batch on a shared engine
+/// ([`run_studies`]). Rows come back in `p_omits` order, so the output
+/// is identical for any `jobs`.
 pub fn run_coverage_ablation_jobs(
     config: &StudyConfig,
     p_omits: &[f64],
     jobs: Jobs,
 ) -> Vec<CoverageRow> {
     let scenario = Scenario::one();
-    let perfect = run_study(&scenario, Detection::Perfect, config);
-    par_map_slice(jobs, p_omits, |_, &p| {
-        let run = if p == 0.0 {
-            perfect.clone()
-        } else {
-            run_study(&scenario, Detection::Omission(p), config)
-        };
-        CoverageRow {
-            p_omit: p,
-            criterion1: run.first_met[0],
-            criterion3: run.first_met[2],
-            bound_held: confidence_error_bound_holds(&perfect, &run, 1.0),
-        }
-    })
+    let studies: Vec<Study> = std::iter::once(Detection::Perfect)
+        .chain(
+            p_omits
+                .iter()
+                .filter(|&&p| p != 0.0)
+                .map(|&p| Detection::Omission(p)),
+        )
+        .map(|detection| (scenario, detection, *config))
+        .collect();
+    let mut runs = run_studies(&studies, jobs).into_iter();
+    let perfect = runs.next().expect("the perfect-detection baseline");
+    p_omits
+        .iter()
+        .map(|&p| {
+            let omission = (p != 0.0).then(|| runs.next().expect("one run per omission"));
+            let run = omission.as_ref().unwrap_or(&perfect);
+            CoverageRow {
+                p_omit: p,
+                criterion1: run.first_met[0],
+                criterion3: run.first_met[2],
+                bound_held: confidence_error_bound_holds(&perfect, run, 1.0),
+            }
+        })
+        .collect()
 }
 
 /// A4 result row.

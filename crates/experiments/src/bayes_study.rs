@@ -8,6 +8,12 @@
 //!
 //! All detection regimes replay the *same* truth stream (paired
 //! comparison, as in the paper); only the detector noise differs.
+//!
+//! Studies are independent of one another, so [`run_studies`] fans a
+//! batch of them over a worker pool. The fixed-grid tables (~14 MB at
+//! the default resolution) depend only on the scenario priors and the
+//! resolution, so a batch builds them once per such group and shares
+//! them, read-only, between that group's studies.
 
 use wsu_bayes::adaptive::{AdaptiveResolution, AdaptiveUpdater, AdaptiveWhiteBox};
 use wsu_bayes::counts::JointCounts;
@@ -16,8 +22,9 @@ use wsu_bayes::whitebox::{PosteriorUpdater, Resolution, WhiteBoxInference};
 use wsu_core::manage::SwitchCriterion;
 use wsu_detect::back2back::BackToBackDetector;
 use wsu_detect::oracle::{FailureDetector, OmissionOracle, PerfectOracle};
+use wsu_simcore::par::{par_map, Jobs};
 use wsu_simcore::rng::MasterSeed;
-use wsu_workload::scenario::Scenario;
+use wsu_workload::scenario::{Scenario, ScenarioPriors};
 
 /// The three detection regimes of the paper's study.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,6 +117,45 @@ impl StudyConfig {
             confidence: 0.99,
             target: 1e-3,
             seed,
+        }
+    }
+}
+
+/// The engine a study's updater comes from: a fixed-grid engine, built
+/// once and shared by every study of its scenario priors and
+/// resolution (its tables sit behind an `Arc`, and the engine is
+/// `Sync`), or the adaptive configuration, from which each study
+/// builds its own engine.
+enum StudyEngine {
+    Fixed(WhiteBoxInference),
+    Adaptive(ScenarioPriors, AdaptiveResolution),
+}
+
+impl StudyEngine {
+    fn new(scenario: &Scenario, config: &StudyConfig) -> StudyEngine {
+        let priors = scenario.priors;
+        match config.adaptive {
+            None => StudyEngine::Fixed(WhiteBoxInference::with_resolution(
+                priors.prior_a,
+                priors.prior_b,
+                priors.coincidence,
+                config.resolution,
+            )),
+            Some(adaptive) => StudyEngine::Adaptive(priors, adaptive),
+        }
+    }
+
+    /// Whether studies `a` and `b` run on equal engines.
+    fn shared_by(a: &Study, b: &Study) -> bool {
+        a.0.priors == b.0.priors && a.2.resolution == b.2.resolution && a.2.adaptive == b.2.adaptive
+    }
+
+    fn updater(&self) -> StudyUpdater {
+        match self {
+            StudyEngine::Fixed(engine) => StudyUpdater::Fixed(engine.updater()),
+            StudyEngine::Adaptive(p, adaptive) => StudyUpdater::Adaptive(Box::new(
+                AdaptiveWhiteBox::new(p.prior_a, p.prior_b, p.coincidence, *adaptive).updater(),
+            )),
         }
     }
 }
@@ -215,26 +261,61 @@ pub enum Curve {
 
 /// Runs one (scenario × detection) study.
 pub fn run_study(scenario: &Scenario, detection: Detection, config: &StudyConfig) -> StudyRun {
+    run_study_on(
+        &StudyEngine::new(scenario, config),
+        scenario,
+        detection,
+        config,
+    )
+}
+
+/// One study of a batch: scenario, detection regime, configuration.
+pub type Study = (Scenario, Detection, StudyConfig);
+
+/// Runs a batch of studies on up to `jobs` workers and returns their
+/// runs in batch order, each bit-identical to [`run_study`]'s.
+///
+/// Studies with equal scenario priors, resolution and adaptive setting
+/// form a group that shares one engine. Groups run one after another,
+/// in order of first appearance, so at most one group's grid tables are
+/// alive at a time; the studies of a group fan out over the workers.
+pub fn run_studies(studies: &[Study], jobs: Jobs) -> Vec<StudyRun> {
+    let mut runs: Vec<Option<StudyRun>> = vec![None; studies.len()];
+    for first in 0..studies.len() {
+        if runs[first].is_some() {
+            continue;
+        }
+        let group: Vec<usize> = (first..studies.len())
+            .filter(|&i| runs[i].is_none() && StudyEngine::shared_by(&studies[first], &studies[i]))
+            .collect();
+        let engine = StudyEngine::new(&studies[first].0, &studies[first].2);
+        let done = par_map(jobs, group.len(), |k| {
+            let (scenario, detection, config) = &studies[group[k]];
+            run_study_on(&engine, scenario, *detection, config)
+        });
+        for (i, run) in group.into_iter().zip(done) {
+            runs[i] = Some(run);
+        }
+    }
+    runs.into_iter()
+        .map(|run| run.expect("every study belongs to a group"))
+        .collect()
+}
+
+/// Runs one study on an engine built for its scenario priors and
+/// configuration.
+fn run_study_on(
+    engine: &StudyEngine,
+    scenario: &Scenario,
+    detection: Detection,
+    config: &StudyConfig,
+) -> StudyRun {
     assert!(
         config.checkpoint_every > 0 && config.demands >= config.checkpoint_every,
         "invalid checkpoint configuration"
     );
     let priors = scenario.priors;
-    let mut updater = match config.adaptive {
-        None => StudyUpdater::Fixed(
-            WhiteBoxInference::with_resolution(
-                priors.prior_a,
-                priors.prior_b,
-                priors.coincidence,
-                config.resolution,
-            )
-            .updater(),
-        ),
-        Some(adaptive) => StudyUpdater::Adaptive(Box::new(
-            AdaptiveWhiteBox::new(priors.prior_a, priors.prior_b, priors.coincidence, adaptive)
-                .updater(),
-        )),
-    };
+    let mut updater = engine.updater();
     let criteria = [
         SwitchCriterion::reach_prior_of_old(config.confidence),
         SwitchCriterion::reach_target(config.target, config.confidence),
@@ -450,6 +531,49 @@ mod tests {
                     );
                 }
                 (fm, am) => assert_eq!(fm, am, "criterion {} met-ness differs", i + 1),
+            }
+        }
+    }
+
+    #[test]
+    fn shared_engine_studies_match_fresh_engine_runs() {
+        // A batch interleaving both scenarios: each scenario's studies
+        // share one engine, and every run must equal run_study's own
+        // fresh-engine run bit for bit, in batch order.
+        let config = tiny_config(2_000);
+        let studies: Vec<Study> = [
+            (Scenario::two(), Detection::Perfect),
+            (Scenario::one(), Detection::BackToBack),
+            (Scenario::two(), Detection::Omission(0.15)),
+            (Scenario::one(), Detection::Perfect),
+            (Scenario::two(), Detection::BackToBack),
+        ]
+        .into_iter()
+        .map(|(scenario, detection)| (scenario, detection, config))
+        .collect();
+        for jobs in [Jobs::serial(), Jobs::new(3)] {
+            let shared = run_studies(&studies, jobs);
+            assert_eq!(shared.len(), studies.len());
+            for (run, (scenario, detection, config)) in shared.iter().zip(&studies) {
+                let fresh = run_study(scenario, *detection, config);
+                assert_eq!(
+                    (run.scenario, run.detection),
+                    (fresh.scenario, fresh.detection)
+                );
+                assert_eq!(run.first_met, fresh.first_met);
+                assert_eq!(run.stable_met, fresh.stable_met);
+                assert_eq!(run.checkpoints.len(), fresh.checkpoints.len());
+                for (s, f) in run.checkpoints.iter().zip(&fresh.checkpoints) {
+                    assert_eq!(s.counts, f.counts);
+                    assert_eq!(s.criteria_met, f.criteria_met);
+                    for (x, y) in [
+                        (s.a_high, f.a_high),
+                        (s.b_high, f.b_high),
+                        (s.b_p90, f.b_p90),
+                    ] {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{detection:?} at {}", s.demands);
+                    }
+                }
             }
         }
     }

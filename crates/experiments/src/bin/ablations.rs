@@ -17,9 +17,11 @@ use wsu_experiments::bayes_study::StudyConfig;
 use wsu_experiments::obs::{jobs_from_env, ObsOptions};
 use wsu_experiments::DEFAULT_SEED;
 
+const USAGE: &str = "ablations [--quick] [--jobs N] [--trace PATH] [--metrics PATH]";
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let jobs = jobs_from_env();
+    let jobs = jobs_from_env(USAGE);
     let mut ctx = ObsOptions::from_env().context();
     let requests = if quick { 2_000 } else { 10_000 };
     let study = StudyConfig {

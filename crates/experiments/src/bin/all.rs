@@ -3,9 +3,10 @@
 //! Usage: `all [--quick] [--out DIR] [--jobs N] [--trace PATH]
 //! [--metrics PATH]` plus the shared observability flags
 //! `--serve-metrics PORT`, `--serve-hold SECS` and `--phase-metrics` —
-//! `--jobs` sizes the replication worker pool for the simulation-backed
-//! studies (Tables 5–6, ablations, capacity) without changing any
-//! output byte.
+//! `--jobs` sizes the worker pool every step fans its independent runs
+//! over (the white-box Bayes studies of Table 2, its spread and
+//! Figs. 7–8; the replications of Tables 5–6, the ablations, the fault
+//! campaign and the capacity study) without changing any output byte.
 
 use std::fs;
 use std::path::PathBuf;
@@ -13,17 +14,19 @@ use std::path::PathBuf;
 use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::bayes_study::StudyConfig;
 use wsu_experiments::midsim::ObsSinks;
-use wsu_experiments::obs::{jobs_from_args, ObsOptions};
+use wsu_experiments::obs::{exit_usage, jobs_from_args, ObsOptions};
 use wsu_experiments::{
     ablation, campaign, capacity, figures, table2, table5, table6, DEFAULT_SEED, PAPER_TIMEOUTS,
 };
 use wsu_simcore::rng::MasterSeed;
 use wsu_workload::timing::ExecTimeModel;
 
+const USAGE: &str = "all [--quick] [--out DIR] [--jobs N] [--trace PATH] [--metrics PATH]";
+
 fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let jobs = jobs_from_args(&args);
+    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
     let mut ctx = ObsOptions::from_env().context();
     let sinks = ctx.sinks();
     let out_dir = args
@@ -65,7 +68,9 @@ fn main() -> std::io::Result<()> {
 
     eprintln!("[1/9] Table 2 (single seed + spread) ...");
     let t2 = ctx.time("all/table2", || {
-        table2::run_table2_with(DEFAULT_SEED, &study1, &study2)
+        table2::run_table2_jobs(&[DEFAULT_SEED], &study1, &study2, jobs)
+            .pop()
+            .expect("one table per seed")
     });
     for run in &t2.runs {
         ctx.record_study(
@@ -78,7 +83,7 @@ fn main() -> std::io::Result<()> {
         .map(|i| MasterSeed::new(DEFAULT_SEED.value().wrapping_add(i)))
         .collect();
     let spread = ctx.time("all/table2-spread", || {
-        table2::run_table2_spread(&seeds, &study1, &study2)
+        table2::spread_of(&table2::run_table2_jobs(&seeds, &study1, &study2, jobs))
     });
     fs::write(
         out_dir.join("table2_spread.txt"),
@@ -86,7 +91,9 @@ fn main() -> std::io::Result<()> {
     )?;
 
     eprintln!("[2/9] Fig. 7 ...");
-    let (fig7, fig7_runs) = ctx.time("all/fig7", || figures::run_fig7(&study1));
+    let (fig7, fig7_runs) = ctx.time("all/fig7", || {
+        figures::run_figure(figures::Figure::Seven, &study1, jobs)
+    });
     ctx.record_study(&fig7_runs.perfect, "fig7/perfect");
     if let Some(omission) = &fig7_runs.omission {
         ctx.record_study(omission, "fig7/omission");
@@ -95,7 +102,9 @@ fn main() -> std::io::Result<()> {
     fs::write(out_dir.join("fig7.tsv"), fig7.to_tsv())?;
 
     eprintln!("[3/9] Fig. 8 ...");
-    let (fig8, fig8_runs) = ctx.time("all/fig8", || figures::run_fig8(&study2));
+    let (fig8, fig8_runs) = ctx.time("all/fig8", || {
+        figures::run_figure(figures::Figure::Eight, &study2, jobs)
+    });
     ctx.record_study(&fig8_runs.perfect, "fig8/perfect");
     if let Some(omission) = &fig8_runs.omission {
         ctx.record_study(omission, "fig8/omission");

@@ -12,9 +12,11 @@ use wsu_workload::outcomes::CorrelatedOutcomes;
 use wsu_workload::runs::RunSpec;
 use wsu_workload::timing::ExecTimeModel;
 
+const USAGE: &str = "capacity [--quick] [--jobs N] [--trace PATH] [--metrics PATH]";
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let jobs = jobs_from_env();
+    let jobs = jobs_from_env(USAGE);
     let mut ctx = ObsOptions::from_env().context();
     let demands = if quick { 3_000 } else { 20_000 };
     let gen = CorrelatedOutcomes::from_run(&RunSpec::run2());

@@ -22,6 +22,9 @@ use wsu_experiments::campaign::{run_campaign_jobs, standard_plans, CampaignConfi
 use wsu_experiments::obs::{jobs_from_env, shards_from_env, ObsOptions};
 use wsu_experiments::DEFAULT_SEED;
 
+const USAGE: &str =
+    "faultcampaign [--quick] [--plan NAME] [--jobs N] [--shards K] [--trace PATH] [--metrics PATH]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -34,7 +37,7 @@ fn main() {
         .filter(|(_, a)| *a == "--plan")
         .filter_map(|(i, _)| args.get(i + 1))
         .collect();
-    let jobs = jobs_from_env();
+    let jobs = jobs_from_env(USAGE);
     let mut ctx = ObsOptions::from_env().context();
     let config = if quick {
         CampaignConfig::quick()

@@ -21,6 +21,9 @@ use wsu_experiments::fleetstudy::{run_fleetstudy_jobs, standard_cells, FleetStud
 use wsu_experiments::obs::{jobs_from_env, shards_from_env, ObsOptions};
 use wsu_experiments::DEFAULT_SEED;
 
+const USAGE: &str =
+    "fleetstudy [--quick] [--cell NAME] [--jobs N] [--shards K] [--trace PATH] [--metrics PATH]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -33,7 +36,7 @@ fn main() {
         .filter(|(_, a)| *a == "--cell")
         .filter_map(|(i, _)| args.get(i + 1))
         .collect();
-    let jobs = jobs_from_env();
+    let jobs = jobs_from_env(USAGE);
     let mut ctx = ObsOptions::from_env().context();
     let config = if quick {
         FleetStudyConfig::quick()

@@ -12,10 +12,13 @@ use wsu_experiments::table6::run_table6_sharded;
 use wsu_experiments::{DEFAULT_SEED, PAPER_REQUESTS, PAPER_TIMEOUTS};
 use wsu_workload::timing::ExecTimeModel;
 
+const USAGE: &str =
+    "table6 [--quick] [--calibrated] [--jobs N] [--shards K] [--trace PATH] [--metrics PATH]";
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let calibrated = std::env::args().any(|a| a == "--calibrated");
-    let jobs = jobs_from_env();
+    let jobs = jobs_from_env(USAGE);
     let shards = shards_from_env();
     let mut ctx = ObsOptions::from_env().context();
     let timing = if calibrated {

@@ -13,11 +13,11 @@
 //! corresponds to the 90%-perfect curve staying below the 99%-imperfect
 //! curves; [`confidence_error_bound_holds`] checks it programmatically.
 
-use wsu_simcore::rng::MasterSeed;
+use wsu_simcore::par::Jobs;
 use wsu_simcore::series::{Series, SeriesSet};
 use wsu_workload::scenario::Scenario;
 
-use crate::bayes_study::{run_study, Curve, Detection, StudyConfig, StudyRun};
+use crate::bayes_study::{run_studies, Curve, Detection, Study, StudyConfig, StudyRun};
 
 /// Builds a [`Series`] from a study run's curve.
 fn to_series(run: &StudyRun, curve: Curve, name: &str) -> Series {
@@ -39,90 +39,79 @@ pub struct FigureRuns {
     pub back_to_back: StudyRun,
 }
 
-/// Fig. 7: Scenario 1 percentile curves.
+/// One of the paper's two percentile figures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Figure {
+    /// Fig. 7: Scenario 1, perfect, omission and back-to-back detection.
+    Seven,
+    /// Fig. 8: Scenario 2, perfect and back-to-back detection.
+    Eight,
+}
+
+/// Fig. 7: Scenario 1 percentile curves, at the default worker count.
 pub fn run_fig7(config: &StudyConfig) -> (SeriesSet, FigureRuns) {
-    let scenario = Scenario::one();
-    let perfect = run_study(&scenario, Detection::Perfect, config);
-    let omission = run_study(&scenario, Detection::Omission(0.15), config);
-    let b2b = run_study(&scenario, Detection::BackToBack, config);
-
-    let mut set = SeriesSet::new(
-        "Fig. 7 — Scenario 1: percentiles for perfect and imperfect failure detection",
-        "demands",
-        "percentile (pfd)",
-    );
-    set.add(to_series(
-        &perfect,
-        Curve::BP90,
-        "ChB 90% (perfect oracles)",
-    ));
-    set.add(to_series(&omission, Curve::BHigh, "ChB 99% (Pmiss=0.15)"));
-    set.add(to_series(&b2b, Curve::BHigh, "ChB 99% (back-to-back)"));
-    set.add(to_series(
-        &perfect,
-        Curve::BHigh,
-        "ChB 99% (perfect oracles)",
-    ));
-    set.add(to_series(
-        &perfect,
-        Curve::AHigh,
-        "ChA 99% (perfect oracles)",
-    ));
-    (
-        set,
-        FigureRuns {
-            perfect,
-            omission: Some(omission),
-            back_to_back: b2b,
-        },
-    )
+    run_figure(Figure::Seven, config, Jobs::default())
 }
 
-/// Fig. 8: Scenario 2 percentile curves.
+/// Fig. 8: Scenario 2 percentile curves, at the default worker count.
 pub fn run_fig8(config: &StudyConfig) -> (SeriesSet, FigureRuns) {
-    let scenario = Scenario::two();
-    let perfect = run_study(&scenario, Detection::Perfect, config);
-    let b2b = run_study(&scenario, Detection::BackToBack, config);
-
-    let mut set = SeriesSet::new(
-        "Fig. 8 — Scenario 2: percentiles for perfect and imperfect failure detection",
-        "demands",
-        "percentile (pfd)",
-    );
-    set.add(to_series(
-        &perfect,
-        Curve::AHigh,
-        "ChA 99% (perfect oracles)",
-    ));
-    set.add(to_series(
-        &perfect,
-        Curve::BP90,
-        "ChB 90% (perfect oracles)",
-    ));
-    set.add(to_series(
-        &perfect,
-        Curve::BHigh,
-        "ChB 99% (perfect oracles)",
-    ));
-    set.add(to_series(&b2b, Curve::BHigh, "ChB 99% (back-to-back)"));
-    (
-        set,
-        FigureRuns {
-            perfect,
-            omission: None,
-            back_to_back: b2b,
-        },
-    )
+    run_figure(Figure::Eight, config, Jobs::default())
 }
 
-/// Fig. 7/8 with the paper's parameters.
-pub fn run_fig7_paper(seed: MasterSeed) -> (SeriesSet, FigureRuns) {
-    run_fig7(&StudyConfig::paper_scenario1(seed))
-}
+/// Runs a figure's studies on up to `jobs` workers; the series are
+/// byte-identical whatever `jobs`.
+pub fn run_figure(figure: Figure, config: &StudyConfig, jobs: Jobs) -> (SeriesSet, FigureRuns) {
+    let (scenario, title) = match figure {
+        Figure::Seven => (
+            Scenario::one(),
+            "Fig. 7 — Scenario 1: percentiles for perfect and imperfect failure detection",
+        ),
+        Figure::Eight => (
+            Scenario::two(),
+            "Fig. 8 — Scenario 2: percentiles for perfect and imperfect failure detection",
+        ),
+    };
+    let with_omission = figure == Figure::Seven;
+    let detections = [
+        Some(Detection::Perfect),
+        with_omission.then_some(Detection::Omission(0.15)),
+        Some(Detection::BackToBack),
+    ];
+    let studies: Vec<Study> = detections
+        .into_iter()
+        .flatten()
+        .map(|detection| (scenario, detection, *config))
+        .collect();
+    let mut done = run_studies(&studies, jobs).into_iter();
+    let mut next = || done.next().expect("one run per study");
+    let runs = FigureRuns {
+        perfect: next(),
+        omission: with_omission.then(&mut next),
+        back_to_back: next(),
+    };
 
-/// Fig. 8 with the paper's parameters.
-pub fn run_fig8_paper(seed: MasterSeed) -> (SeriesSet, FigureRuns) {
-    run_fig8(&StudyConfig::paper_scenario2(seed))
+    let (perfect, b2b) = (&runs.perfect, &runs.back_to_back);
+    // Fig. 7 is the figure with an omission run.
+    let curves = match &runs.omission {
+        Some(omission) => vec![
+            (perfect, Curve::BP90, "ChB 90% (perfect oracles)"),
+            (omission, Curve::BHigh, "ChB 99% (Pmiss=0.15)"),
+            (b2b, Curve::BHigh, "ChB 99% (back-to-back)"),
+            (perfect, Curve::BHigh, "ChB 99% (perfect oracles)"),
+            (perfect, Curve::AHigh, "ChA 99% (perfect oracles)"),
+        ],
+        None => vec![
+            (perfect, Curve::AHigh, "ChA 99% (perfect oracles)"),
+            (perfect, Curve::BP90, "ChB 90% (perfect oracles)"),
+            (perfect, Curve::BHigh, "ChB 99% (perfect oracles)"),
+            (b2b, Curve::BHigh, "ChB 99% (back-to-back)"),
+        ],
+    };
+    let mut set = SeriesSet::new(title, "demands", "percentile (pfd)");
+    for (run, curve, name) in curves {
+        set.add(to_series(run, curve, name));
+    }
+    (set, runs)
 }
 
 /// The paper's confidence-error observation: the 90% percentile under
@@ -152,6 +141,7 @@ pub fn confidence_error_bound_holds(perfect: &StudyRun, imperfect: &StudyRun, up
 mod tests {
     use super::*;
     use wsu_bayes::whitebox::Resolution;
+    use wsu_simcore::rng::MasterSeed;
 
     fn quick(demands: u64, every: u64) -> StudyConfig {
         StudyConfig {

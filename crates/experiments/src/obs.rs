@@ -76,22 +76,37 @@ impl ObsOptions {
 }
 
 /// Parses the shared `--jobs N` flag: `N` workers (`0` clamped to 1);
-/// absent or non-numeric means one worker per available hardware thread.
+/// absent means one worker per available hardware thread. A missing or
+/// non-numeric value is an error, never a silent fallback.
 /// The worker count never changes any output — replications merge in
 /// replication order regardless of which worker ran them.
-pub fn jobs_from_args(args: &[String]) -> Jobs {
-    Jobs::from_request(
-        args.iter()
-            .position(|a| a == "--jobs")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok()),
-    )
+pub fn jobs_from_args(args: &[String]) -> Result<Jobs, String> {
+    let Some(i) = args.iter().position(|a| a == "--jobs") else {
+        return Ok(Jobs::auto());
+    };
+    match args.get(i + 1).map(|v| v.parse::<usize>()) {
+        Some(Ok(n)) => Ok(Jobs::new(n)),
+        Some(Err(_)) => Err(format!(
+            "--jobs: expected a worker count, got {:?}",
+            args[i + 1]
+        )),
+        None => Err("--jobs: expected a worker count".to_owned()),
+    }
 }
 
-/// [`jobs_from_args`] on the current process's arguments.
-pub fn jobs_from_env() -> Jobs {
+/// [`jobs_from_args`] on the current process's arguments; a malformed
+/// `--jobs` exits through [`exit_usage`] with `usage`.
+pub fn jobs_from_env(usage: &str) -> Jobs {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    jobs_from_args(&args)
+    jobs_from_args(&args).unwrap_or_else(|e| exit_usage(usage, &e))
+}
+
+/// Reports a command-line error and the binary's usage line on stderr
+/// and exits with status 2.
+pub fn exit_usage(usage: &str, error: &str) -> ! {
+    eprintln!("error: {error}");
+    eprintln!("usage: {usage}");
+    std::process::exit(2);
 }
 
 /// Parses the shared `--shards N` flag: `N` intra-replication shards
@@ -317,6 +332,20 @@ mod tests {
 
     fn strs(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn jobs_flag_parses_strictly() {
+        assert_eq!(jobs_from_args(&strs(&["--quick"])), Ok(Jobs::auto()));
+        assert_eq!(
+            jobs_from_args(&strs(&["--jobs", "3", "--quick"])),
+            Ok(Jobs::new(3))
+        );
+        assert_eq!(jobs_from_args(&strs(&["--jobs", "0"])), Ok(Jobs::serial()));
+        for bad in [&["--jobs", "abc"][..], &["--jobs", "-1"], &["--jobs"]] {
+            let err = jobs_from_args(&strs(bad)).expect_err("malformed --jobs");
+            assert!(err.starts_with("--jobs: expected a worker count"), "{err}");
+        }
     }
 
     #[test]

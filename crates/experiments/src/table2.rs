@@ -7,10 +7,11 @@
 //! within the simulated horizon is reported as "Not attainable
 //! (> N)", as in the paper's Scenario 1 / Criterion 2 cell.
 
+use wsu_simcore::par::Jobs;
 use wsu_simcore::rng::MasterSeed;
 use wsu_workload::scenario::Scenario;
 
-use crate::bayes_study::{run_study, Detection, StudyConfig, StudyRun};
+use crate::bayes_study::{run_studies, Detection, Study, StudyConfig, StudyRun};
 use crate::report::{thousands, TextTable};
 
 /// One cell of Table 2.
@@ -88,37 +89,68 @@ impl Table2 {
     }
 }
 
-/// Runs the full Table 2 experiment with the paper's parameters.
-pub fn run_table2(seed: MasterSeed) -> Table2 {
-    run_table2_with(
-        seed,
-        &StudyConfig::paper_scenario1(seed),
-        &StudyConfig::paper_scenario2(seed),
-    )
+/// Runs Table 2 with explicit per-scenario configurations (used by tests
+/// and quick modes), at the default worker count.
+pub fn run_table2_with(_seed: MasterSeed, config1: &StudyConfig, config2: &StudyConfig) -> Table2 {
+    run_tables(&[(*config1, *config2)], Jobs::default())
+        .pop()
+        .expect("one table per configuration pair")
 }
 
-/// Runs Table 2 with explicit per-scenario configurations (used by tests
-/// and quick modes).
-pub fn run_table2_with(_seed: MasterSeed, config1: &StudyConfig, config2: &StudyConfig) -> Table2 {
-    let mut rows = Vec::new();
-    let mut runs = Vec::new();
-    for (scenario, config) in [(Scenario::one(), config1), (Scenario::two(), config2)] {
-        for detection in Detection::paper_regimes() {
-            let run = run_study(&scenario, detection, config);
-            let cells = [0, 1, 2].map(|i| Table2Cell {
-                first_met: run.first_met[i],
-                stable_met: run.stable_met[i],
-                horizon: config.demands,
-            });
-            rows.push(Table2Row {
-                scenario: scenario.number,
-                detection: detection.label(),
-                cells,
-            });
-            runs.push(run);
-        }
-    }
-    Table2 { rows, runs }
+/// Runs Table 2 once per seed on up to `jobs` workers — each table with
+/// both configurations' seeds replaced by its own — and returns the
+/// tables in seed order. Every table is byte-identical whatever `jobs`.
+pub fn run_table2_jobs(
+    seeds: &[MasterSeed],
+    config1: &StudyConfig,
+    config2: &StudyConfig,
+    jobs: Jobs,
+) -> Vec<Table2> {
+    let pairs: Vec<(StudyConfig, StudyConfig)> = seeds
+        .iter()
+        .map(|&seed| {
+            (
+                StudyConfig { seed, ..*config1 },
+                StudyConfig { seed, ..*config2 },
+            )
+        })
+        .collect();
+    run_tables(&pairs, jobs)
+}
+
+/// One Table 2 per `(scenario 1, scenario 2)` configuration pair, all
+/// of their studies run as one batch.
+fn run_tables(pairs: &[(StudyConfig, StudyConfig)], jobs: Jobs) -> Vec<Table2> {
+    let studies: Vec<Study> = pairs
+        .iter()
+        .flat_map(|&(config1, config2)| [(Scenario::one(), config1), (Scenario::two(), config2)])
+        .flat_map(|(scenario, config)| {
+            Detection::paper_regimes().map(|detection| (scenario, detection, config))
+        })
+        .collect();
+    let mut runs = run_studies(&studies, jobs).into_iter();
+    // Each table is six consecutive studies: two scenarios × three
+    // detection regimes, in the paper's row order.
+    studies
+        .chunks(6)
+        .map(|table_studies| {
+            let runs: Vec<StudyRun> = runs.by_ref().take(table_studies.len()).collect();
+            let rows = runs
+                .iter()
+                .zip(table_studies)
+                .map(|(run, (_, _, config))| Table2Row {
+                    scenario: run.scenario,
+                    detection: run.detection.label(),
+                    cells: [0, 1, 2].map(|i| Table2Cell {
+                        first_met: run.first_met[i],
+                        stable_met: run.stable_met[i],
+                        horizon: config.demands,
+                    }),
+                })
+                .collect();
+            Table2 { rows, runs }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -324,46 +356,43 @@ pub struct SpreadRow {
 }
 
 /// Runs Table 2 across several seeds and reports the per-cell spread —
-/// the Monte-Carlo variability the paper's single-run Table 2 hides.
+/// the Monte-Carlo variability the paper's single-run Table 2 hides —
+/// at the default worker count.
 pub fn run_table2_spread(
     seeds: &[MasterSeed],
     config1: &StudyConfig,
     config2: &StudyConfig,
 ) -> Vec<SpreadRow> {
     assert!(!seeds.is_empty(), "need at least one seed");
-    let mut rows: Vec<SpreadRow> = Vec::new();
-    for &seed in seeds {
-        let c1 = StudyConfig { seed, ..*config1 };
-        let c2 = StudyConfig { seed, ..*config2 };
-        let table = run_table2_with(seed, &c1, &c2);
-        if rows.is_empty() {
-            rows = table
-                .rows
-                .iter()
-                .map(|r| SpreadRow {
-                    scenario: r.scenario,
-                    detection: r.detection.clone(),
-                    cells: std::array::from_fn(|_| SpreadCell {
-                        met: Vec::new(),
-                        seeds: seeds.len(),
-                    }),
-                })
-                .collect();
-        }
-        for (row, spread) in table.rows.iter().zip(rows.iter_mut()) {
-            for (cell, target) in row.cells.iter().zip(spread.cells.iter_mut()) {
-                if let Some(d) = cell.first_met {
-                    target.met.push(d);
+    spread_of(&run_table2_jobs(seeds, config1, config2, Jobs::default()))
+}
+
+/// The per-cell spread of the criteria's first-met durations across
+/// `tables` (one per seed, as [`run_table2_jobs`] returns them).
+pub fn spread_of(tables: &[Table2]) -> Vec<SpreadRow> {
+    let Some(first) = tables.first() else {
+        return Vec::new();
+    };
+    first
+        .rows
+        .iter()
+        .enumerate()
+        .map(|(r, row)| SpreadRow {
+            scenario: row.scenario,
+            detection: row.detection.clone(),
+            cells: std::array::from_fn(|c| {
+                let mut met: Vec<u64> = tables
+                    .iter()
+                    .filter_map(|t| t.rows[r].cells[c].first_met)
+                    .collect();
+                met.sort_unstable();
+                SpreadCell {
+                    met,
+                    seeds: tables.len(),
                 }
-            }
-        }
-    }
-    for row in &mut rows {
-        for cell in &mut row.cells {
-            cell.met.sort_unstable();
-        }
-    }
-    rows
+            }),
+        })
+        .collect()
 }
 
 /// Renders the spread table.

@@ -14,6 +14,7 @@ use wsu_experiments::campaign::{run_campaign_jobs, standard_plans, CampaignConfi
 use wsu_experiments::midsim::ObsSinks;
 use wsu_experiments::{figures, table2, DEFAULT_SEED};
 use wsu_simcore::par::Jobs;
+use wsu_simcore::rng::MasterSeed;
 
 fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -61,6 +62,32 @@ fn fig7_artefact_is_reproducible() {
         .expect("committed results/fig7.tsv");
     let (fig7, _) = figures::run_fig7(&paper_study1());
     assert_eq!(fig7.to_tsv(), golden, "results/fig7.tsv drifted");
+}
+
+#[test]
+#[ignore = "full paper scale; run with --release (CI perf-smoke job)"]
+fn table2_spread_artefact_is_reproducible() {
+    let golden = std::fs::read_to_string(results_dir().join("table2_spread.txt"))
+        .expect("committed results/table2_spread.txt");
+    // The ten seeds `all` runs: the default seed and the nine after it.
+    let seeds: Vec<MasterSeed> = (0..10u64)
+        .map(|i| MasterSeed::new(DEFAULT_SEED.value().wrapping_add(i)))
+        .collect();
+    let spread = table2::run_table2_spread(&seeds, &paper_study1(), &paper_study2());
+    assert_eq!(
+        table2::render_spread(&spread),
+        golden,
+        "results/table2_spread.txt drifted"
+    );
+}
+
+#[test]
+#[ignore = "full paper scale; run with --release (CI perf-smoke job)"]
+fn fig8_artefact_is_reproducible() {
+    let golden = std::fs::read_to_string(results_dir().join("fig8.tsv"))
+        .expect("committed results/fig8.tsv");
+    let (fig8, _) = figures::run_fig8(&paper_study2());
+    assert_eq!(fig8.to_tsv(), golden, "results/fig8.tsv drifted");
 }
 
 #[test]

@@ -397,13 +397,7 @@ impl<S: Read + Write> HttpConn<S> {
         };
         self.start += head_len;
         let mut request = parsed?;
-        let content_length = match request.header("content-length") {
-            None => 0u64,
-            Some(raw) => raw
-                .trim()
-                .parse::<u64>()
-                .map_err(|_| RecvError::Malformed("unparsable content-length"))?,
-        };
+        let content_length = declared_content_length(&request.headers)?.unwrap_or(0);
         if request
             .header("transfer-encoding")
             .is_some_and(|v| !v.trim().is_empty())
@@ -481,15 +475,7 @@ impl<S: Read + Write> HttpConn<S> {
         };
         self.start += head_len;
         let (status, headers) = parsed?;
-        let content_length = headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case("content-length"))
-            .map(|(_, v)| {
-                v.trim()
-                    .parse::<u64>()
-                    .map_err(|_| RecvError::Malformed("unparsable content-length"))
-            })
-            .transpose()?;
+        let content_length = declared_content_length(&headers)?;
         let bytes = match content_length {
             Some(len) if len > self.config.max_body_bytes as u64 => {
                 return Err(RecvError::BodyTooLarge { declared: len })
@@ -548,6 +534,30 @@ fn head_lines(head: &str) -> impl Iterator<Item = &str> {
     head.split('\n')
         .map(|l| l.strip_suffix('\r').unwrap_or(l))
         .filter(|l| !l.is_empty())
+}
+
+/// The message's declared `Content-Length`, if any. Each value must be
+/// ASCII digits only (RFC 9110 §8.6: no sign, no whitespace inside, no
+/// list), and repeated headers must agree (RFC 9112 §6.3: conflicting
+/// lengths make the framing ambiguous — the request-smuggling shape).
+fn declared_content_length(headers: &[(String, String)]) -> Result<Option<u64>, RecvError> {
+    let mut declared = None;
+    for (_, value) in headers
+        .iter()
+        .filter(|(n, _)| n.eq_ignore_ascii_case("content-length"))
+    {
+        if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(RecvError::Malformed("unparsable content-length"));
+        }
+        let len = value
+            .parse::<u64>()
+            .map_err(|_| RecvError::Malformed("unparsable content-length"))?;
+        if declared.is_some_and(|earlier| earlier != len) {
+            return Err(RecvError::Malformed("conflicting content-length"));
+        }
+        declared = Some(len);
+    }
+    Ok(declared)
 }
 
 /// Parses `Name: value` header lines (everything after the first).
@@ -876,6 +886,27 @@ mod tests {
             recv_one(b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n"),
             Err(RecvError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn signed_or_conflicting_content_length_is_malformed() {
+        for raw in [
+            &b"POST / HTTP/1.1\r\nContent-Length: +2\r\n\r\nab"[..],
+            b"POST / HTTP/1.1\r\nContent-Length: -0\r\n\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length: 2, 2\r\n\r\nab",
+            b"POST / HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 3\r\n\r\nabc",
+        ] {
+            assert!(
+                matches!(recv_one(raw), Err(RecvError::Malformed(_))),
+                "{}",
+                String::from_utf8_lossy(raw)
+            );
+        }
+        // Repeating the same length is unambiguous and accepted.
+        let request =
+            recv_one(b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nab")
+                .expect("agreeing duplicate lengths");
+        assert_eq!(request.body, b"ab");
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //!    connect to the *bound* address — which is not connectable when
 //!    bound to `0.0.0.0` — and could hang the join. Shutdown must
 //!    complete promptly for any bind address.
+//!
+//! It also pins `Content-Length` framing on both receive paths: a
+//! signed value (`+2`) and two conflicting values are ambiguous framing
+//! (RFC 9110 §8.6, RFC 9112 §6.3) and must be rejected with `400`,
+//! never resolved by guessing.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -20,7 +25,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use wsu_obs::export::MetricsExporter;
-use wsu_obs::http::{http_get, HttpClient};
+use wsu_obs::http::{http_get, HttpClient, RecvError};
 
 /// Opens a raw client connection to `addr` with short timeouts.
 fn raw_connect(addr: SocketAddr) -> TcpStream {
@@ -206,6 +211,44 @@ fn oversized_head_is_431() {
         &response[..response.len().min(64)]
     );
     exporter.shutdown();
+}
+
+// ---------------------------------------------------------------
+// Ambiguous Content-Length framing is 400 on both receive paths.
+// ---------------------------------------------------------------
+
+const AMBIGUOUS_LENGTHS: [&str; 2] = [
+    "Content-Length: +2\r\n",
+    "Content-Length: 2\r\nContent-Length: 3\r\n",
+];
+
+#[test]
+fn ambiguous_request_content_length_is_400() {
+    for lengths in AMBIGUOUS_LENGTHS {
+        let exporter = MetricsExporter::bind("127.0.0.1:0").expect("bind");
+        let request = format!("GET /metrics HTTP/1.1\r\nHost: x\r\n{lengths}\r\nabc");
+        let response = raw_roundtrip(exporter.local_addr(), request.as_bytes());
+        assert!(
+            response.starts_with("HTTP/1.1 400 ") && response.contains("content-length"),
+            "{lengths:?} must be 400, got: {response:?}"
+        );
+        exporter.shutdown();
+    }
+}
+
+#[test]
+fn ambiguous_response_content_length_is_rejected() {
+    for lengths in AMBIGUOUS_LENGTHS {
+        let response = format!("HTTP/1.1 200 OK\r\n{lengths}Connection: close\r\n\r\nabc");
+        let (addr, handle) = one_shot_server(response.into_bytes(), false);
+        let mut client = HttpClient::connect(addr, Duration::from_secs(5)).expect("connect");
+        let err = client
+            .request("GET", "/", &[])
+            .expect_err("ambiguous framing must not parse");
+        assert!(matches!(err, RecvError::Malformed(_)), "{lengths:?}: {err}");
+        assert_eq!(err.response().map(|r| r.status), Some(400), "{lengths:?}");
+        handle.join().expect("server thread");
+    }
 }
 
 #[test]

@@ -2,11 +2,18 @@
 //! tables, metric snapshots and event traces are byte-identical whatever
 //! the worker-pool size, because replications merge in replication
 //! order. These tests pin that contract for the simulation-backed
-//! experiments.
+//! experiments and for the white-box Bayes studies of Table 2 and
+//! Figs. 7/8.
 
+use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::ablation::{run_abort_ablation_jobs, run_adjudicator_ablation_jobs};
+use wsu_experiments::bayes_study::{StudyConfig, StudyRun};
 use wsu_experiments::capacity::{render_capacity_table, run_capacity_study_jobs};
+use wsu_experiments::figures::{run_fig7, run_fig8, run_figure, Figure, FigureRuns};
 use wsu_experiments::midsim::ObsSinks;
+use wsu_experiments::table2::{
+    render_spread, run_table2_jobs, run_table2_spread, run_table2_with, spread_of, Table2,
+};
 use wsu_experiments::table5::run_table5_jobs;
 use wsu_experiments::table6::run_table6_jobs;
 use wsu_obs::{SharedRecorder, SharedRegistry, TraceEvent};
@@ -113,4 +120,95 @@ fn ablations_are_jobs_invariant() {
         .collect::<Vec<_>>()
     };
     assert_eq!(abort(Jobs::serial()), abort(Jobs::new(4)));
+}
+
+/// A quick-scale study configuration for the Bayes fan-out checks.
+fn quick_study(demands: u64, checkpoint_every: u64) -> StudyConfig {
+    StudyConfig {
+        demands,
+        checkpoint_every,
+        resolution: Resolution {
+            a_cells: 24,
+            b_cells: 24,
+            q_cells: 8,
+        },
+        adaptive: None,
+        confidence: 0.99,
+        target: 1e-3,
+        seed: SEED,
+    }
+}
+
+/// Every checkpoint's three percentiles, as bit patterns.
+fn checkpoint_bits<'a>(runs: impl IntoIterator<Item = &'a StudyRun>) -> Vec<[u64; 3]> {
+    runs.into_iter()
+        .flat_map(|run| &run.checkpoints)
+        .map(|c| [c.a_high.to_bits(), c.b_high.to_bits(), c.b_p90.to_bits()])
+        .collect()
+}
+
+fn table_bits(tables: &[Table2]) -> Vec<[u64; 3]> {
+    checkpoint_bits(tables.iter().flat_map(|t| &t.runs))
+}
+
+fn figure_bits(runs: &FigureRuns) -> Vec<[u64; 3]> {
+    checkpoint_bits(
+        [&runs.perfect]
+            .into_iter()
+            .chain(&runs.omission)
+            .chain([&runs.back_to_back]),
+    )
+}
+
+#[test]
+fn table2_and_spread_are_jobs_invariant() {
+    let (c1, c2) = (quick_study(2_000, 500), quick_study(1_000, 250));
+    let seeds = [SEED, MasterSeed::new(SEED.value() + 1), MasterSeed::new(7)];
+    let serial = run_table2_jobs(&seeds, &c1, &c2, Jobs::serial());
+    let pooled = run_table2_jobs(&seeds, &c1, &c2, Jobs::new(4));
+    assert_eq!(serial.len(), seeds.len());
+    for (s, p) in serial.iter().zip(&pooled) {
+        assert_eq!(s.render(), p.render(), "Table 2 render differs with jobs=4");
+    }
+    assert_eq!(table_bits(&serial), table_bits(&pooled));
+    let spread = render_spread(&spread_of(&serial));
+    assert_eq!(spread, render_spread(&spread_of(&pooled)));
+
+    // The default-worker forms agree with the explicit serial run.
+    let single = run_table2_with(SEED, &c1, &c2);
+    assert_eq!(single.render(), serial[0].render());
+    assert_eq!(table_bits(&[single]), table_bits(&serial[..1]));
+    assert_eq!(render_spread(&run_table2_spread(&seeds, &c1, &c2)), spread);
+}
+
+#[test]
+fn figures_are_jobs_invariant() {
+    for (figure, config) in [
+        (Figure::Seven, quick_study(2_000, 500)),
+        (Figure::Eight, quick_study(1_000, 250)),
+    ] {
+        let (set1, runs1) = run_figure(figure, &config, Jobs::serial());
+        let (set4, runs4) = run_figure(figure, &config, Jobs::new(4));
+        let (set_default, runs_default) = match figure {
+            Figure::Seven => run_fig7(&config),
+            Figure::Eight => run_fig8(&config),
+        };
+        assert_eq!(
+            set1.to_tsv(),
+            set4.to_tsv(),
+            "{figure:?} differs with jobs=4"
+        );
+        assert_eq!(
+            set1.to_tsv(),
+            set_default.to_tsv(),
+            "{figure:?} default jobs"
+        );
+        assert_eq!(figure_bits(&runs1), figure_bits(&runs4), "{figure:?}");
+        assert_eq!(
+            figure_bits(&runs1),
+            figure_bits(&runs_default),
+            "{figure:?}"
+        );
+        assert_eq!(runs1.omission.is_some(), figure == Figure::Seven);
+    }
 }
