@@ -32,7 +32,7 @@ fn rng(c: &mut Criterion) {
 
 fn queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("simcore/queue");
-    for n in [1_000u64, 10_000] {
+    for n in [1_000u64, 10_000, 100_000] {
         group.bench_with_input(BenchmarkId::new("push_pop", n), &n, |b, &n| {
             b.iter(|| {
                 let mut q = EventQueue::new();
@@ -45,6 +45,24 @@ fn queue(c: &mut Criterion) {
                     sum += e;
                 }
                 black_box(sum)
+            });
+        });
+    }
+    // Hold model: `n` events in flight; each op pops the earliest and
+    // schedules its successor an exponential delay (mean 1.4 s, the
+    // paper's response time) later. One in flight is the closed demand
+    // loop; 64 is the capacity study's shape.
+    for n in [1usize, 64] {
+        group.bench_with_input(BenchmarkId::new("hold", n), &n, |b, &n| {
+            let delay = Exponential::with_mean(1.4);
+            let mut rng = StreamRng::from_seed(5);
+            let mut q = EventQueue::new();
+            for i in 0..n {
+                q.push(SimTime::from_secs(delay.sample(&mut rng)), i);
+            }
+            b.iter(|| {
+                let (now, e) = q.pop().expect("hold keeps the queue non-empty");
+                q.push(now + delay.sample_duration(&mut rng), e);
             });
         });
     }

@@ -93,8 +93,9 @@ pub struct ServeSpec {
     /// one sequential per-worker stream, so a demand's outcome depends
     /// only on `(seed, n)` — not on which worker served it or how
     /// requests interleaved. Fronts claim `n` atomically and call
-    /// [`DemandWorker::demand_indexed`]; this is the `--shards`
-    /// determinism contract applied to live serving, letting a front
+    /// [`DemandWorker::demand_indexed`]; this is the shard-count
+    /// determinism contract of `wsu_simcore::shard` (outputs identical
+    /// at any shard count) applied to live serving, letting a front
     /// scale its worker fleet without changing a single outcome.
     pub sharded: bool,
 }

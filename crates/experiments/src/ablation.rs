@@ -1,9 +1,9 @@
 //! Ablation studies for the design choices DESIGN.md calls out.
 //!
-//! * [`run_adjudicator_ablation`] (A1) — how the selection policy among
-//!   valid, differing responses (random — the paper's choice — vs
+//! * [`run_adjudicator_ablation_jobs`] (A1) — how the selection policy
+//!   among valid, differing responses (random — the paper's choice — vs
 //!   fastest vs majority) shifts system correctness and responsiveness;
-//! * [`run_mode_ablation`] (A2) — the four operating modes of
+//! * [`run_mode_ablation_jobs`] (A2) — the four operating modes of
 //!   Section 4.2 on one workload: reliability vs response time vs
 //!   back-end load;
 //! * [`run_coverage_ablation`] (A3) — Section 5.1.2's open question: how
@@ -37,14 +37,10 @@ pub struct AdjudicatorRow {
     pub cell: CellResult,
 }
 
-/// A1: selection-policy ablation on the run-1 correlated workload.
-pub fn run_adjudicator_ablation(seed: MasterSeed, requests: u64) -> Vec<AdjudicatorRow> {
-    run_adjudicator_ablation_jobs(seed, requests, Jobs::serial())
-}
-
-/// [`run_adjudicator_ablation`] over a worker pool: one replication per
-/// policy, all sharing the demand plan computed up front. Rows come back
-/// in policy order, so the output is identical for any `jobs`.
+/// A1: selection-policy ablation on the run-1 correlated workload,
+/// over a worker pool: one replication per policy, all sharing the
+/// demand plan computed up front. Rows come back in policy order, so
+/// the output is identical for any `jobs`.
 pub fn run_adjudicator_ablation_jobs(
     seed: MasterSeed,
     requests: u64,
@@ -83,14 +79,10 @@ pub struct ModeRow {
     pub backend_invocations: u64,
 }
 
-/// A2: operating-mode ablation on the run-2 correlated workload.
-pub fn run_mode_ablation(seed: MasterSeed, requests: u64) -> Vec<ModeRow> {
-    run_mode_ablation_jobs(seed, requests, Jobs::serial())
-}
-
-/// [`run_mode_ablation`] over a worker pool: one replication per
-/// operating mode, all sharing the demand plan computed up front. Rows
-/// come back in mode order, so the output is identical for any `jobs`.
+/// A2: operating-mode ablation on the run-2 correlated workload, over
+/// a worker pool: one replication per operating mode, all sharing the
+/// demand plan computed up front. Rows come back in mode order, so the
+/// output is identical for any `jobs`.
 pub fn run_mode_ablation_jobs(seed: MasterSeed, requests: u64, jobs: Jobs) -> Vec<ModeRow> {
     let spec = RunSpec::run2();
     let gen = CorrelatedOutcomes::from_run(&spec);
@@ -326,7 +318,7 @@ mod tests {
 
     #[test]
     fn adjudicator_ablation_shapes() {
-        let rows = run_adjudicator_ablation(MasterSeed::new(51), 2_000);
+        let rows = run_adjudicator_ablation_jobs(MasterSeed::new(51), 2_000, Jobs::serial());
         assert_eq!(rows.len(), 3);
         // Fastest trades correctness for speed: its MET must be the
         // smallest... no — in parallel-reliability the wait is the same;
@@ -343,7 +335,7 @@ mod tests {
 
     #[test]
     fn mode_ablation_shapes() {
-        let rows = run_mode_ablation(MasterSeed::new(52), 2_000);
+        let rows = run_mode_ablation_jobs(MasterSeed::new(52), 2_000, Jobs::serial());
         assert_eq!(rows.len(), 4);
         let by_label = |needle: &str| {
             rows.iter()
@@ -405,7 +397,7 @@ mod tests {
 
     #[test]
     fn abort_ablation_directionality() {
-        let rows = run_abort_ablation(
+        let rows = run_abort_ablation_jobs(
             3,
             4_000,
             Resolution {
@@ -415,6 +407,7 @@ mod tests {
             },
             MasterSeed::new(123),
             &[0.5, 20.0],
+            Jobs::serial(),
         );
         assert_eq!(rows.len(), 2);
         // A much better new release never gets aborted.
@@ -600,29 +593,12 @@ pub struct AbortRow {
 /// the abort guard (99%) armed, and count the decisions. A good guard
 /// aborts quickly when the ratio is large and never fires when the new
 /// release is genuinely better.
-pub fn run_abort_ablation(
-    seeds: u64,
-    demands: u64,
-    resolution: Resolution,
-    base_seed: MasterSeed,
-    ratios: &[f64],
-) -> Vec<AbortRow> {
-    run_abort_ablation_jobs(
-        seeds,
-        demands,
-        resolution,
-        base_seed,
-        ratios,
-        Jobs::serial(),
-    )
-}
-
-/// [`run_abort_ablation`] over a worker pool: one replication per
-/// `(ratio, seed)` pair, ratio-major and seed-minor (the sequential
-/// iteration order). Each pair's upgrade uses its own derived seed, so
-/// trials are independent; the terminal phases are folded back into
-/// per-ratio rows in pair order, and the output is identical for any
-/// `jobs`.
+///
+/// Runs over a worker pool: one replication per `(ratio, seed)` pair,
+/// ratio-major and seed-minor (the sequential iteration order). Each
+/// pair's upgrade uses its own derived seed, so trials are independent;
+/// the terminal phases are folded back into per-ratio rows in pair
+/// order, and the output is identical for any `jobs`.
 pub fn run_abort_ablation_jobs(
     seeds: u64,
     demands: u64,

@@ -75,6 +75,9 @@ fn main() {
         i += 2;
     }
 
+    if let Err(e) = config.validate() {
+        fail(&e);
+    }
     let report = run_scalestudy(&config, DEFAULT_SEED.value());
     print!("{}", render_table(&report));
     eprint!("{}", render_timing(&report));

@@ -339,20 +339,9 @@ pub fn run_capacity(
     }
 }
 
-/// Runs the full study: both disciplines across the given arrival rates.
-pub fn run_capacity_study(
-    outcomes: &(dyn OutcomePairGen + Sync),
-    timing: ExecTimeModel,
-    rates: &[f64],
-    demands: u64,
-    seed: MasterSeed,
-) -> Vec<CapacityResult> {
-    run_capacity_study_jobs(outcomes, timing, rates, demands, seed, Jobs::serial())
-}
-
-/// [`run_capacity_study`] over a worker pool: every `(rate, dispatch)`
-/// cell is one replication with its own engine, servers and RNG
-/// streams, returned in the sequential iteration order (rate-major,
+/// Runs the full study — both disciplines across the given arrival
+/// rates — over a worker pool: every `(rate, dispatch)` cell is one
+/// replication with its own engine, servers and RNG streams, returned in the sequential iteration order (rate-major,
 /// parallel before sequential) so the rendered table is byte-identical
 /// for any `jobs`.
 pub fn run_capacity_study_jobs(
@@ -420,12 +409,13 @@ mod tests {
 
     fn study(rates: &[f64], demands: u64) -> Vec<CapacityResult> {
         let gen = CorrelatedOutcomes::from_run(&RunSpec::run2());
-        run_capacity_study(
+        run_capacity_study_jobs(
             &gen,
             ExecTimeModel::calibrated(),
             rates,
             demands,
             MasterSeed::new(71),
+            Jobs::serial(),
         )
     }
 

@@ -247,17 +247,6 @@ fn cell_scenario(name: &str, fleet: usize) -> FleetFaultScenario {
         ))
 }
 
-/// Runs the standard matrix at paper scale, serially.
-pub fn run_fleetstudy(seed: MasterSeed) -> FleetTable {
-    run_fleetstudy_jobs(
-        &standard_cells(),
-        &FleetStudyConfig::paper(),
-        seed,
-        &ObsSinks::default(),
-        Jobs::serial(),
-    )
-}
-
 /// Runs `cells` over a worker pool: each cell is one replication.
 /// Results, traces and metrics merge in matrix order, so every output
 /// is byte-identical for any `jobs`.

@@ -25,7 +25,6 @@ use wsu_obs::{
     MetricsExporter, PhaseTimings, Recorder, SharedRecorder, SharedRegistry, TraceEvent,
 };
 use wsu_simcore::par::Jobs;
-use wsu_simcore::shard::Shards;
 
 use crate::bayes_study::StudyRun;
 use crate::midsim::ObsSinks;
@@ -107,27 +106,6 @@ pub fn exit_usage(usage: &str, error: &str) -> ! {
     eprintln!("error: {error}");
     eprintln!("usage: {usage}");
     std::process::exit(2);
-}
-
-/// Parses the shared `--shards N` flag: `N` intra-replication shards
-/// (`0` means one per available hardware thread). Absent or
-/// non-numeric means serial — sharding is opt-in, unlike `--jobs`.
-/// Like the worker count, the shard count never changes any output:
-/// the prepare/commit pipeline keeps every sequential effect in
-/// demand order (see [`wsu_simcore::shard`]).
-pub fn shards_from_args(args: &[String]) -> Shards {
-    Shards::from_request(
-        args.iter()
-            .position(|a| a == "--shards")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok()),
-    )
-}
-
-/// [`shards_from_args`] on the current process's arguments.
-pub fn shards_from_env() -> Shards {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    shards_from_args(&args)
 }
 
 impl ObsOptions {
@@ -372,19 +350,6 @@ mod tests {
         assert_eq!(opts.trace, None);
         let opts = ObsOptions::parse(&strs(&["--serve-metrics", "not-a-port"]));
         assert_eq!(opts.serve, None);
-    }
-
-    #[test]
-    fn shards_flag_is_opt_in() {
-        // Absent (or garbage) means serial; 0 means auto; N means N.
-        assert_eq!(shards_from_args(&strs(&["--quick"])), Shards::serial());
-        assert_eq!(
-            shards_from_args(&strs(&["--shards", "lots"])),
-            Shards::serial()
-        );
-        assert_eq!(shards_from_args(&strs(&["--shards", "4"])).get(), 4);
-        assert_eq!(shards_from_args(&strs(&["--shards", "1"])).get(), 1);
-        assert!(shards_from_args(&strs(&["--shards", "0"])).get() >= 1);
     }
 
     #[test]

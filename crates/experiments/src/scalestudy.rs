@@ -1,25 +1,25 @@
 //! Scale study: throughput of the sharded demand loop at 1M+ demands.
 //!
-//! The `--shards` machinery exists to make million-demand runs cheap,
-//! so this experiment measures exactly that: one large weighted-fleet
-//! deployment served at shard counts {1, 2, 4, 8}, reporting
-//! demands/sec per configuration, speedup versus the serial run and
-//! the cost of the final merge — while *asserting* the sharding
-//! determinism contract on every run (the merged dependability digest
-//! must be byte-identical at every shard count, or the study panics).
+//! The epoch runner ([`run_epochs_local`]) exists to make
+//! million-demand runs cheap, so this experiment measures exactly
+//! that: one large weighted-fleet deployment served at shard counts
+//! {1, 2, 4, 8}, reporting demands/sec per configuration, speedup
+//! versus the serial run and the cost of the final merge — while
+//! *asserting* the sharding determinism contract on every run (the
+//! merged dependability digest must be byte-identical at every shard
+//! count, or the study panics).
 //!
 //! # The shard-native world
 //!
-//! Each shard owns the demands `id % K == shard` ([`Shards::owner_of`])
-//! and serves them on a private [`DemandWorker`] built on the shard's
-//! own thread ([`run_epochs_local`] — the worker is deliberately not
-//! `Send`). Demand randomness is keyed by the *global* demand id
-//! (`indexed_stream("serve-demand", id)`, the sharded-[`ServeSpec`]
-//! contract), so a demand's outcome depends only on `(seed, id,
-//! weights-at-id)` — never on the partition. Per-shard statistics are
-//! exactly mergeable: integer verdict/source counters, an integer
-//! nanosecond latency sum, and a [`QuantileSketch`] whose bucket
-//! counts add; the merge folds shards in shard order `0..K`.
+//! Each shard owns the demands `id % K == shard` and serves them on a
+//! private [`DemandWorker`] built on the shard's own thread (the worker
+//! is deliberately not `Send`). Demand randomness is keyed by the
+//! *global* demand id (`indexed_stream("serve-demand", id)`, the
+//! sharded-[`ServeSpec`] contract), so a demand's outcome depends only
+//! on `(seed, id, weights-at-id)` — never on the partition. Per-shard
+//! statistics are exactly mergeable: integer verdict/source counters,
+//! an integer nanosecond latency sum, and a [`QuantileSketch`] whose
+//! bucket counts add; the merge folds shards in shard order `0..K`.
 //!
 //! # The cutover broadcast
 //!
@@ -85,36 +85,48 @@ impl ScaleConfig {
         }
     }
 
-    /// Panics unless the cutover is epoch-aligned and in range for
-    /// every swept shard count — the preconditions the broadcast
-    /// protocol needs.
-    fn validate(&self) {
-        assert!(
-            !self.shard_counts.is_empty(),
-            "sweep at least one shard count"
-        );
-        assert!(self.block > 0, "block must be positive");
-        for &k in &self.shard_counts {
-            assert!(k > 0, "shard counts must be positive");
-            let stride = k as u64 * self.block;
-            assert!(
-                self.cutover.is_multiple_of(stride),
-                "cutover {} must be a multiple of K*block = {} (K = {k})",
-                self.cutover,
-                stride
-            );
-            assert!(
-                self.cutover >= stride,
-                "cutover {} needs at least one epoch of lookahead at K = {k}",
-                self.cutover
-            );
+    /// Checks the preconditions the broadcast protocol needs: at least
+    /// one shard count, positive counts and block, and a cutover that
+    /// is epoch-aligned for every swept shard count and lies inside the
+    /// run.
+    ///
+    /// # Errors
+    ///
+    /// A one-line description of the first violated precondition.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.shard_counts.is_empty() {
+            return Err("sweep at least one shard count".to_owned());
         }
-        assert!(
-            self.cutover < self.demands,
-            "cutover {} must happen inside the run ({} demands)",
-            self.cutover,
-            self.demands
-        );
+        if self.block == 0 {
+            return Err("block must be positive".to_owned());
+        }
+        for &k in &self.shard_counts {
+            if k == 0 {
+                return Err("shard counts must be positive".to_owned());
+            }
+            let stride = (k as u64)
+                .checked_mul(self.block)
+                .ok_or_else(|| format!("K*block overflows at K = {k}"))?;
+            if !self.cutover.is_multiple_of(stride) {
+                return Err(format!(
+                    "cutover {} must be a multiple of K*block = {stride} (K = {k})",
+                    self.cutover
+                ));
+            }
+            if self.cutover < stride {
+                return Err(format!(
+                    "cutover {} needs at least one epoch of lookahead at K = {k}",
+                    self.cutover
+                ));
+            }
+        }
+        if self.cutover >= self.demands {
+            return Err(format!(
+                "cutover {} must happen inside the run ({} demands)",
+                self.cutover, self.demands
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -431,11 +443,14 @@ impl ScaleReport {
 ///
 /// # Panics
 ///
-/// If any shard count's digest deviates from the baseline's — that
-/// would mean the sharded loop changed an observable output, which is
-/// exactly what the contract forbids.
+/// If `config` fails [`ScaleConfig::validate`], or if any shard
+/// count's digest deviates from the baseline's — that would mean the
+/// sharded loop changed an observable output, which is exactly what the
+/// contract forbids.
 pub fn run_scalestudy(config: &ScaleConfig, seed: u64) -> ScaleReport {
-    config.validate();
+    if let Err(e) = config.validate() {
+        panic!("{e}");
+    }
     let mut runs = Vec::with_capacity(config.shard_counts.len());
     let mut digest: Option<String> = None;
     for &k in &config.shard_counts {
@@ -645,5 +660,31 @@ mod tests {
         let mut config = tiny();
         config.cutover = 2_050;
         run_scalestudy(&config, DEFAULT_SEED.value());
+    }
+
+    #[test]
+    fn validate_names_each_violated_precondition() {
+        assert_eq!(tiny().validate(), Ok(()));
+        let rejects = |edit: &dyn Fn(&mut ScaleConfig), reason: &str| {
+            let mut config = tiny();
+            edit(&mut config);
+            let err = config.validate().unwrap_err();
+            assert!(err.contains(reason), "{err:?} lacks {reason:?}");
+        };
+        rejects(&|c| c.shard_counts.clear(), "at least one shard count");
+        rejects(
+            &|c| c.shard_counts = vec![0],
+            "shard counts must be positive",
+        );
+        rejects(&|c| c.block = 0, "block must be positive");
+        rejects(
+            &|c| {
+                c.shard_counts = vec![2];
+                c.block = u64::MAX;
+            },
+            "overflows",
+        );
+        rejects(&|c| c.cutover = 0, "at least one epoch of lookahead");
+        rejects(&|c| c.demands = 0, "must happen inside the run");
     }
 }

@@ -8,15 +8,13 @@
 use wsu_core::middleware::MiddlewareConfig;
 use wsu_simcore::par::Jobs;
 use wsu_simcore::rng::MasterSeed;
-use wsu_simcore::shard::Shards;
 use wsu_workload::outcomes::CorrelatedOutcomes;
 use wsu_workload::runs::RunSpec;
 use wsu_workload::timing::ExecTimeModel;
 
-use crate::midsim::{plan_run, simulate_cell_sharded, CellResult, ObsSinks};
+use crate::midsim::{plan_run, simulate_cell_observed, CellResult, ObsSinks};
 use crate::replicate::run_replications;
 use crate::report::TextTable;
-use crate::{PAPER_REQUESTS, PAPER_TIMEOUTS};
 
 /// One run's results across the timeout columns.
 #[derive(Debug, Clone)]
@@ -74,16 +72,6 @@ impl SimulationTable {
     }
 }
 
-/// Runs Table 5 with the paper's parameters.
-pub fn run_table5(seed: MasterSeed) -> SimulationTable {
-    run_table5_with(
-        seed,
-        PAPER_REQUESTS,
-        &PAPER_TIMEOUTS,
-        ExecTimeModel::paper(),
-    )
-}
-
 /// Runs Table 5 with explicit request count, timeouts and timing model.
 pub fn run_table5_with(
     seed: MasterSeed,
@@ -91,24 +79,21 @@ pub fn run_table5_with(
     timeouts: &[f64],
     timing: ExecTimeModel,
 ) -> SimulationTable {
-    run_table5_observed(seed, requests, timeouts, timing, &ObsSinks::default())
+    run_table5_jobs(
+        seed,
+        requests,
+        timeouts,
+        timing,
+        &ObsSinks::default(),
+        Jobs::serial(),
+    )
 }
 
-/// [`run_table5_with`] with observability sinks threaded into every
-/// simulated cell (tagged `table5/run{n}/t{timeout}`).
-pub fn run_table5_observed(
-    seed: MasterSeed,
-    requests: u64,
-    timeouts: &[f64],
-    timing: ExecTimeModel,
-    sinks: &ObsSinks,
-) -> SimulationTable {
-    run_table5_jobs(seed, requests, timeouts, timing, sinks, Jobs::serial())
-}
-
-/// [`run_table5_observed`] over a worker pool: every `(run, timeout)`
-/// cell is one replication. Results, traces and metrics are merged in
-/// replication order, so the output is byte-identical for any `jobs`.
+/// Runs Table 5 over a worker pool with observability sinks threaded
+/// into every simulated cell (tagged `table5/run{n}/t{timeout}`). Every
+/// `(run, timeout)` cell is one replication; results, traces and
+/// metrics are merged in replication order, so the output is
+/// byte-identical for any `jobs`.
 pub fn run_table5_jobs(
     seed: MasterSeed,
     requests: u64,
@@ -116,31 +101,6 @@ pub fn run_table5_jobs(
     timing: ExecTimeModel,
     sinks: &ObsSinks,
     jobs: Jobs,
-) -> SimulationTable {
-    run_table5_sharded(
-        seed,
-        requests,
-        timeouts,
-        timing,
-        sinks,
-        jobs,
-        Shards::serial(),
-    )
-}
-
-/// [`run_table5_jobs`] with intra-cell sharding on top: each cell's
-/// demand loop runs as a prepare/commit pipeline over `shards` workers
-/// (see [`crate::midsim::simulate_cell_sharded`]). Neither knob changes
-/// a byte of output.
-#[allow(clippy::too_many_arguments)]
-pub fn run_table5_sharded(
-    seed: MasterSeed,
-    requests: u64,
-    timeouts: &[f64],
-    timing: ExecTimeModel,
-    sinks: &ObsSinks,
-    jobs: Jobs,
-    shards: Shards,
 ) -> SimulationTable {
     let specs = RunSpec::all();
     let cells = simulate_table_cells(
@@ -152,7 +112,6 @@ pub fn run_table5_sharded(
         seed,
         sinks,
         jobs,
-        shards,
         CorrelatedOutcomes::from_run,
     );
     SimulationTable {
@@ -176,7 +135,6 @@ pub(crate) fn simulate_table_cells<G, F>(
     seed: MasterSeed,
     sinks: &ObsSinks,
     jobs: Jobs,
-    shards: Shards,
     make_gen: F,
 ) -> Vec<CellResult>
 where
@@ -189,13 +147,12 @@ where
         let gen = make_gen(spec);
         let run_tag = format!("{table_tag}/run{}", spec.run);
         let plan = plan_run(&gen, timing, requests, seed, &run_tag);
-        simulate_cell_sharded(
+        simulate_cell_observed(
             &plan,
             MiddlewareConfig::paper(timeout),
             seed,
             local,
             &format!("{run_tag}/t{timeout}"),
-            shards,
         )
     })
 }

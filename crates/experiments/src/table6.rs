@@ -9,24 +9,12 @@
 
 use wsu_simcore::par::Jobs;
 use wsu_simcore::rng::MasterSeed;
-use wsu_simcore::shard::Shards;
 use wsu_workload::outcomes::IndependentOutcomes;
 use wsu_workload::runs::RunSpec;
 use wsu_workload::timing::ExecTimeModel;
 
 use crate::midsim::ObsSinks;
 use crate::table5::{group_cells, simulate_table_cells, SimulationTable};
-use crate::{PAPER_REQUESTS, PAPER_TIMEOUTS};
-
-/// Runs Table 6 with the paper's parameters.
-pub fn run_table6(seed: MasterSeed) -> SimulationTable {
-    run_table6_with(
-        seed,
-        PAPER_REQUESTS,
-        &PAPER_TIMEOUTS,
-        ExecTimeModel::paper(),
-    )
-}
 
 /// Runs Table 6 with explicit request count, timeouts and timing model.
 pub fn run_table6_with(
@@ -35,24 +23,21 @@ pub fn run_table6_with(
     timeouts: &[f64],
     timing: ExecTimeModel,
 ) -> SimulationTable {
-    run_table6_observed(seed, requests, timeouts, timing, &ObsSinks::default())
+    run_table6_jobs(
+        seed,
+        requests,
+        timeouts,
+        timing,
+        &ObsSinks::default(),
+        Jobs::serial(),
+    )
 }
 
-/// [`run_table6_with`] with observability sinks threaded into every
-/// simulated cell (tagged `table6/run{n}/t{timeout}`).
-pub fn run_table6_observed(
-    seed: MasterSeed,
-    requests: u64,
-    timeouts: &[f64],
-    timing: ExecTimeModel,
-    sinks: &ObsSinks,
-) -> SimulationTable {
-    run_table6_jobs(seed, requests, timeouts, timing, sinks, Jobs::serial())
-}
-
-/// [`run_table6_observed`] over a worker pool: every `(run, timeout)`
-/// cell is one replication. Results, traces and metrics are merged in
-/// replication order, so the output is byte-identical for any `jobs`.
+/// Runs Table 6 over a worker pool with observability sinks threaded
+/// into every simulated cell (tagged `table6/run{n}/t{timeout}`). Every
+/// `(run, timeout)` cell is one replication; results, traces and
+/// metrics are merged in replication order, so the output is
+/// byte-identical for any `jobs`.
 pub fn run_table6_jobs(
     seed: MasterSeed,
     requests: u64,
@@ -60,31 +45,6 @@ pub fn run_table6_jobs(
     timing: ExecTimeModel,
     sinks: &ObsSinks,
     jobs: Jobs,
-) -> SimulationTable {
-    run_table6_sharded(
-        seed,
-        requests,
-        timeouts,
-        timing,
-        sinks,
-        jobs,
-        Shards::serial(),
-    )
-}
-
-/// [`run_table6_jobs`] with intra-cell sharding on top: each cell's
-/// demand loop runs as a prepare/commit pipeline over `shards` workers
-/// (see [`crate::midsim::simulate_cell_sharded`]). Neither knob changes
-/// a byte of output.
-#[allow(clippy::too_many_arguments)]
-pub fn run_table6_sharded(
-    seed: MasterSeed,
-    requests: u64,
-    timeouts: &[f64],
-    timing: ExecTimeModel,
-    sinks: &ObsSinks,
-    jobs: Jobs,
-    shards: Shards,
 ) -> SimulationTable {
     let specs = RunSpec::all();
     let cells = simulate_table_cells(
@@ -96,7 +56,6 @@ pub fn run_table6_sharded(
         seed,
         sinks,
         jobs,
-        shards,
         IndependentOutcomes::from_run,
     );
     SimulationTable {

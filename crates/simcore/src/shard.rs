@@ -6,29 +6,18 @@
 //! while keeping every observable output **byte-identical at any shard
 //! count** (the `--jobs` contract, one level down).
 //!
-//! Two executors are provided, matching the two shapes of hot loop in
-//! this workspace:
-//!
-//! 1. [`run_epochs`] — conservative parallel discrete-event simulation.
-//!    Each shard owns a private calendar queue (via
-//!    [`Engine::run_window`](crate::engine::Engine::run_window)), RNG
-//!    streams, scratch buffers and metric sinks, and advances through
-//!    virtual time in fixed *epochs* (windows one calendar-bucket wide
-//!    by convention) separated by a barrier. Events destined for
-//!    another shard are staged in a per-`(src, dst)` [`Outbox`] lane
-//!    and delivered at the epoch boundary in `(epoch, src, seq)` order,
-//!    so the destination shard enqueues them identically however many
-//!    shards the sources were spread over. The scheme is correct when
-//!    every cross-shard event carries at least one epoch of lookahead
-//!    (delay ≥ epoch width), the classic conservative-PDES constraint.
-//!
-//! 2. [`shard_pipeline`] — prepare/commit two-phase execution for the
-//!    closed demand loop. Demands are hash-partitioned by demand id
-//!    (`id % K`); workers run the RNG-free *prepare* phase in parallel
-//!    while a single committer replays RNG draws, float accumulation
-//!    and trace emission **in demand-id order**, so the sequential
-//!    streams (middleware RNG, monitor RNG, `Summary` sums) see the
-//!    exact same draw/accumulate order as a serial run.
+//! The executor is [`run_epochs_local`], a conservative parallel
+//! discrete-event simulation. Each shard owns a private event queue
+//! (via [`Engine::run_window`](crate::engine::Engine::run_window)), RNG
+//! streams, scratch buffers and metric sinks, and advances through
+//! virtual time in fixed *epochs* separated by a barrier. Events
+//! destined for another shard are staged in a per-`(src, dst)`
+//! [`Outbox`] lane and delivered at the epoch boundary in
+//! `(epoch, src, seq)` order, so the destination shard enqueues them
+//! identically however many shards the sources were spread over. The
+//! scheme is correct when every cross-shard event carries at least one
+//! epoch of lookahead (delay ≥ epoch width), the classic
+//! conservative-PDES constraint.
 //!
 //! # Determinism contract
 //!
@@ -42,16 +31,13 @@
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, Condvar, Mutex};
+use std::sync::{Barrier, Mutex};
 use std::thread;
-
-use crate::rng::{MasterSeed, StreamRng};
 
 /// Shard count for intra-replication parallelism.
 ///
-/// The knob mirrors [`Jobs`](crate::par::Jobs): `--shards 1` is the
-/// serial engine, `--shards 0`/unset means one shard per hardware
-/// thread.
+/// One shard is the serial engine: [`run_epochs_local`] then runs the
+/// world inline on the calling thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shards(NonZeroUsize);
 
@@ -66,36 +52,9 @@ impl Shards {
         Shards(NonZeroUsize::new(n).unwrap_or(NonZeroUsize::MIN))
     }
 
-    /// One shard per available hardware thread (the `--shards` default
-    /// when a bare `--shards` is given).
-    pub fn auto() -> Shards {
-        Shards(thread::available_parallelism().unwrap_or(NonZeroUsize::MIN))
-    }
-
-    /// `Some(n)` → `n` shards (0 clamped to 1); `None` → [`Shards::serial`].
-    ///
-    /// Unlike [`Jobs`](crate::par::Jobs), the unset default is *serial*:
-    /// sharding changes which thread touches which cache lines, so it
-    /// is opt-in per invocation.
-    pub fn from_request(requested: Option<usize>) -> Shards {
-        match requested {
-            Some(0) => Shards::auto(),
-            Some(n) => Shards::new(n),
-            None => Shards::serial(),
-        }
-    }
-
     /// The shard count.
     pub fn get(self) -> usize {
         self.0.get()
-    }
-
-    /// The shard that owns logical entity `id` under the workspace's
-    /// hash partition (`id % K`). Demands, consumers and fleet members
-    /// are all partitioned this way so ownership is derivable from the
-    /// id alone, on any shard, without a directory.
-    pub fn owner_of(self, id: u64) -> usize {
-        (id % self.get() as u64) as usize
     }
 }
 
@@ -104,15 +63,6 @@ impl Default for Shards {
     fn default() -> Shards {
         Shards::serial()
     }
-}
-
-/// The per-shard RNG stream named by the sharding convention:
-/// `MasterSeed::indexed_stream("shard", k)`. Use it only for
-/// shard-local scratch randomness that never reaches an output; any
-/// draw that affects output must come from an entity-id-derived stream
-/// or the output would depend on the partition.
-pub fn shard_stream(seed: &MasterSeed, shard: usize) -> StreamRng {
-    seed.indexed_stream("shard", shard as u64)
 }
 
 /// Cross-shard messages staged by one shard during one epoch.
@@ -156,7 +106,7 @@ impl<M> Outbox<M> {
 
 /// One shard of an epoch-synchronized world.
 ///
-/// Implementations own everything their shard touches: calendar queue,
+/// Implementations own everything their shard touches: event queue,
 /// RNG streams, scratch buffers, metric/recorder sinks. The runner only
 /// moves messages and decides when the whole fleet is quiescent.
 pub trait ShardWorld {
@@ -180,61 +130,13 @@ pub trait ShardWorld {
     ) -> bool;
 }
 
-impl<W: ShardWorld + ?Sized> ShardWorld for &mut W {
-    type Msg = W::Msg;
-
-    fn epoch(
-        &mut self,
-        epoch: u64,
-        inbox: Vec<(usize, Self::Msg)>,
-        outbox: &mut Outbox<Self::Msg>,
-    ) -> bool {
-        (**self).epoch(epoch, inbox, outbox)
-    }
-}
-
 /// What one shard deposits at the barrier each epoch.
 struct EpochPost<M> {
     lanes: Vec<Vec<M>>,
     pending: bool,
 }
 
-/// Runs every shard in `worlds` to global quiescence under the epoch
-/// barrier, returning the number of epochs executed.
-///
-/// Each epoch: all shards run [`ShardWorld::epoch`] concurrently, hit a
-/// barrier, the barrier leader redistributes every staged lane to its
-/// destination inbox (in source order, preserving per-lane FIFO — the
-/// `(epoch, src, seq)` drain order), and checks termination: the run
-/// ends after an epoch in which no shard has pending work and no
-/// message was staged. With one shard everything runs inline on the
-/// calling thread — byte-for-byte the serial engine.
-///
-/// # Panics
-///
-/// Propagates a panic from any shard (the scope joins all workers).
-pub fn run_epochs<W: ShardWorld + Send>(worlds: &mut [W]) -> u64 {
-    let k = worlds.len();
-    assert!(k > 0, "run_epochs needs at least one shard");
-    // Hand each scoped thread its `&mut W` through a take-once slot;
-    // the blanket `ShardWorld for &mut W` impl does the rest.
-    let slots: Vec<Mutex<Option<&mut W>>> =
-        worlds.iter_mut().map(|w| Mutex::new(Some(w))).collect();
-    let (_, epochs) = run_epochs_local(
-        Shards::new(k),
-        |shard| {
-            slots[shard]
-                .lock()
-                .expect("world slot")
-                .take()
-                .expect("each shard's world is taken exactly once")
-        },
-        |_, _| (),
-    );
-    epochs
-}
-
-/// [`run_epochs`] for worlds that cannot cross threads.
+/// Runs K shard worlds to global quiescence under the epoch barrier.
 ///
 /// `build(shard)` constructs shard `shard`'s world *on the thread that
 /// will run it*, and `finish(shard, world)` consumes the world there
@@ -354,154 +256,6 @@ where
     (out, total)
 }
 
-/// Bounded lookahead of the prepare/commit pipeline: how far (in
-/// demand ids) workers may run ahead of the committer. Large enough to
-/// hide commit latency, small enough to bound memory.
-const PIPELINE_WINDOW: usize = 256;
-
-/// Slot ring shared between prepare workers and the committer.
-struct Ring<P> {
-    slots: Vec<Option<P>>,
-    /// Items `0..committed` have been handed to the committer.
-    committed: usize,
-    /// Prepare workers still running.
-    workers: usize,
-    /// Set when the committer is gone (normally or by panic) so
-    /// workers never block on a dead consumer.
-    aborted: bool,
-}
-
-/// Decrements the live-worker count on scope exit — including panic —
-/// so the committer can distinguish "not yet prepared" from "never
-/// coming" instead of deadlocking.
-struct WorkerGuard<'a, P> {
-    ring: &'a Mutex<Ring<P>>,
-    filled: &'a Condvar,
-}
-
-impl<P> Drop for WorkerGuard<'_, P> {
-    fn drop(&mut self) {
-        let mut g = match self.ring.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        g.workers -= 1;
-        drop(g);
-        self.filled.notify_all();
-    }
-}
-
-/// Unblocks prepare workers when the committer exits — normally or by
-/// panic — so a failing `commit` propagates instead of deadlocking.
-struct CommitterGuard<'a, P> {
-    ring: &'a Mutex<Ring<P>>,
-    drained: &'a Condvar,
-}
-
-impl<P> Drop for CommitterGuard<'_, P> {
-    fn drop(&mut self) {
-        let mut g = match self.ring.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        g.aborted = true;
-        drop(g);
-        self.drained.notify_all();
-    }
-}
-
-/// Two-phase prepare/commit execution of `count` items on `shards`
-/// workers, committing strictly in item order.
-///
-/// `prepare(i)` runs in parallel — items are hash-partitioned across
-/// workers by `i % K`, the same partition [`Shards::owner_of`] gives
-/// for demand ids — and must be deterministic in `i` and immutable
-/// captures (in the middleware loop: everything *except* the RNG draws,
-/// which live in commit). `commit(i, prepared)` runs on the calling
-/// thread for `i = 0, 1, …, count-1` in exactly that order, so
-/// sequential state (RNG streams, float accumulators, trace writers)
-/// observes the same history as a serial run. Workers run at most
-/// [`PIPELINE_WINDOW`] items ahead of the committer.
-///
-/// With one shard (or fewer than two items) everything runs inline:
-/// `commit(i, prepare(i))` in a plain loop — the serial engine.
-///
-/// # Panics
-///
-/// Propagates a panic from `prepare` or `commit` (no deadlock: each
-/// side detects the other's death).
-pub fn shard_pipeline<P, F, C>(shards: Shards, count: usize, prepare: F, mut commit: C)
-where
-    P: Send,
-    F: Fn(usize) -> P + Sync,
-    C: FnMut(usize, P),
-{
-    let k = shards.get();
-    if k <= 1 || count <= 1 {
-        for i in 0..count {
-            commit(i, prepare(i));
-        }
-        return;
-    }
-    let ring = Mutex::new(Ring {
-        slots: (0..PIPELINE_WINDOW).map(|_| None).collect(),
-        committed: 0,
-        workers: k,
-        aborted: false,
-    });
-    let filled = Condvar::new();
-    let drained = Condvar::new();
-    thread::scope(|scope| {
-        for w in 0..k {
-            let ring = &ring;
-            let filled = &filled;
-            let drained = &drained;
-            let prepare = &prepare;
-            scope.spawn(move || {
-                let _guard = WorkerGuard { ring, filled };
-                let mut i = w;
-                while i < count {
-                    let item = prepare(i);
-                    let mut g = ring.lock().expect("pipeline ring");
-                    while !g.aborted && i >= g.committed + PIPELINE_WINDOW {
-                        g = drained.wait(g).expect("pipeline ring");
-                    }
-                    if g.aborted {
-                        return;
-                    }
-                    g.slots[i % PIPELINE_WINDOW] = Some(item);
-                    drop(g);
-                    filled.notify_all();
-                    i += k;
-                }
-            });
-        }
-        // The committer runs here on the calling thread, inside the
-        // scope, concurrently with the workers it feeds from.
-        let _guard = CommitterGuard {
-            ring: &ring,
-            drained: &drained,
-        };
-        for i in 0..count {
-            let mut g = ring.lock().expect("pipeline ring");
-            let item = loop {
-                if let Some(item) = g.slots[i % PIPELINE_WINDOW].take() {
-                    break item;
-                }
-                assert!(
-                    g.workers > 0,
-                    "prepare worker for item {i} died before filling its slot"
-                );
-                g = filled.wait(g).expect("pipeline ring");
-            };
-            g.committed = i + 1;
-            drop(g);
-            drained.notify_all();
-            commit(i, item);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,22 +267,7 @@ mod tests {
         assert_eq!(Shards::serial().get(), 1);
         assert_eq!(Shards::new(0).get(), 1);
         assert_eq!(Shards::new(6).get(), 6);
-        assert_eq!(Shards::from_request(Some(3)).get(), 3);
-        assert_eq!(Shards::from_request(None).get(), 1);
-        assert!(Shards::from_request(Some(0)).get() >= 1);
         assert_eq!(Shards::default().get(), 1);
-        assert!(Shards::auto().get() >= 1);
-        assert_eq!(Shards::new(4).owner_of(10), 2);
-        assert_eq!(Shards::serial().owner_of(10), 0);
-    }
-
-    #[test]
-    fn shard_stream_matches_indexed_stream() {
-        let seed = MasterSeed::new(9);
-        assert_eq!(
-            shard_stream(&seed, 3).next_u64(),
-            seed.indexed_stream("shard", 3).next_u64()
-        );
     }
 
     #[test]
@@ -543,124 +282,11 @@ mod tests {
         assert_eq!(lanes, vec![vec![20], vec![10, 30]]);
     }
 
-    #[test]
-    fn pipeline_commits_in_order_for_any_shard_count() {
-        let serial: Vec<(usize, u64)> = {
-            let mut out = Vec::new();
-            shard_pipeline(
-                Shards::serial(),
-                500,
-                |i| (i as u64).wrapping_mul(0x9E37_79B9),
-                |i, p| out.push((i, p)),
-            );
-            out
-        };
-        for k in [2, 3, 4, 8] {
-            let mut out = Vec::new();
-            shard_pipeline(
-                Shards::new(k),
-                500,
-                |i| (i as u64).wrapping_mul(0x9E37_79B9),
-                |i, p| out.push((i, p)),
-            );
-            assert_eq!(out, serial, "shards {k}");
-        }
-    }
-
-    #[test]
-    fn pipeline_sequential_commit_state_is_partition_independent() {
-        // The committer threads a sequential RNG through the commits —
-        // exactly the middleware/monitor stream shape. Identical draws
-        // at any K proves the draw order is partition-independent.
-        let run = |k: usize| {
-            let seed = MasterSeed::new(77);
-            let mut rng = seed.stream("commit");
-            let mut acc = Vec::new();
-            shard_pipeline(
-                Shards::new(k),
-                300,
-                |i| i as u64 + 1,
-                |_, p| acc.push(rng.next_below(p)),
-            );
-            acc
-        };
-        let serial = run(1);
-        for k in [2, 4, 8] {
-            assert_eq!(run(k), serial, "shards {k}");
-        }
-    }
-
-    #[test]
-    fn pipeline_handles_tiny_and_empty_counts() {
-        let mut out = Vec::new();
-        shard_pipeline(Shards::new(4), 0, |i| i, |i, p| out.push((i, p)));
-        assert!(out.is_empty());
-        shard_pipeline(Shards::new(4), 1, |i| i + 7, |i, p| out.push((i, p)));
-        assert_eq!(out, vec![(0, 7)]);
-        // More shards than items.
-        out.clear();
-        shard_pipeline(Shards::new(16), 3, |i| i, |i, p| out.push((i, p)));
-        assert_eq!(out, vec![(0, 0), (1, 1), (2, 2)]);
-    }
-
-    #[test]
-    fn pipeline_wraps_the_window_many_times() {
-        let count = PIPELINE_WINDOW * 5 + 13;
-        let mut sum = 0u64;
-        let mut last = None;
-        shard_pipeline(
-            Shards::new(3),
-            count,
-            |i| i as u64,
-            |i, p| {
-                assert_eq!(i as u64, p);
-                assert_eq!(last.map_or(0, |l: usize| l + 1), i, "order");
-                last = Some(i);
-                sum += p;
-            },
-        );
-        assert_eq!(sum, (count as u64 - 1) * count as u64 / 2);
-    }
-
-    #[test]
-    fn pipeline_prepare_panic_propagates() {
-        let result = std::panic::catch_unwind(|| {
-            shard_pipeline(
-                Shards::new(2),
-                64,
-                |i| {
-                    if i == 33 {
-                        panic!("prepare 33 exploded");
-                    }
-                    i
-                },
-                |_, _| {},
-            )
-        });
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn pipeline_commit_panic_propagates() {
-        let result = std::panic::catch_unwind(|| {
-            shard_pipeline(
-                Shards::new(4),
-                10_000,
-                |i| i,
-                |i, _| {
-                    if i == 5 {
-                        panic!("commit 5 exploded");
-                    }
-                },
-            )
-        });
-        assert!(result.is_err());
-    }
-
-    /// A ring of logical counters hash-partitioned across shards. Each
-    /// hop event bumps a counter and forwards to `(id + 3) % N` one
-    /// epoch later (the lookahead constraint), logging `(time, id)`.
-    /// The merged, sorted logs must be identical for every K.
+    /// A ring of logical counters hash-partitioned across shards
+    /// (entity `id` lives on shard `id % K`). Each hop event bumps a
+    /// counter and forwards to `(id + 3) % N` one epoch later (the
+    /// lookahead constraint), logging `(time, id)`. The merged, sorted
+    /// logs must be identical for every K.
     const EPOCH_SECS: f64 = 1.0;
 
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -670,9 +296,13 @@ mod tests {
         ttl: u32,
     }
 
+    fn owner(id: u64, shards: usize) -> usize {
+        (id % shards as u64) as usize
+    }
+
     struct RingShard {
         shard: usize,
-        shards: Shards,
+        shards: usize,
         entities: u64,
         engine: Engine<Hop>,
         log: Vec<(u64, u64)>,
@@ -680,12 +310,23 @@ mod tests {
     }
 
     impl RingShard {
-        fn new(shard: usize, shards: Shards, entities: u64) -> RingShard {
+        /// Shard `shard` of `shards`, seeded with one token (ttl 20, at
+        /// t = 0.5) per entity it owns.
+        fn new(shard: usize, shards: usize, entities: u64) -> RingShard {
+            let mut engine = Engine::new();
+            for id in (0..entities).filter(|&id| owner(id, shards) == shard) {
+                let hop = Hop {
+                    due: SimTime::from_secs(0.5),
+                    id,
+                    ttl: 20,
+                };
+                engine.schedule_at(hop.due, hop);
+            }
             RingShard {
                 shard,
                 shards,
                 entities,
-                engine: Engine::new(),
+                engine,
                 log: Vec::new(),
                 staged: Vec::new(),
             }
@@ -694,7 +335,7 @@ mod tests {
 
     struct HopWorld<'a> {
         shard: usize,
-        shards: Shards,
+        shards: usize,
         entities: u64,
         log: &'a mut Vec<(u64, u64)>,
         staged: &'a mut Vec<Hop>,
@@ -712,7 +353,7 @@ mod tests {
                 id: next_id,
                 ttl: hop.ttl - 1,
             };
-            if self.shards.owner_of(next_id) == self.shard {
+            if owner(next_id, self.shards) == self.shard {
                 engine.schedule_at(next.due, next);
             } else {
                 self.staged.push(next);
@@ -742,31 +383,21 @@ mod tests {
             };
             self.engine.run_window(window_end, &mut world);
             for hop in self.staged.drain(..) {
-                outbox.send(self.shards.owner_of(hop.id), hop);
+                outbox.send(owner(hop.id, self.shards), hop);
             }
             self.engine.pending() > 0
         }
     }
 
     fn run_ring(k: usize) -> Vec<(u64, u64)> {
-        let shards = Shards::new(k);
         let entities = 10u64;
-        let mut worlds: Vec<RingShard> = (0..k)
-            .map(|s| RingShard::new(s, shards, entities))
-            .collect();
-        // Seed: every entity starts one token at t = 0.5 with ttl 20.
-        for id in 0..entities {
-            let owner = shards.owner_of(id);
-            let hop = Hop {
-                due: SimTime::from_secs(0.5),
-                id,
-                ttl: 20,
-            };
-            worlds[owner].engine.schedule_at(hop.due, hop);
-        }
-        let epochs = run_epochs(&mut worlds);
+        let (logs, epochs) = run_epochs_local(
+            Shards::new(k),
+            |shard| RingShard::new(shard, k, entities),
+            |_, world| world.log,
+        );
         assert!(epochs >= 20, "token ttl spans at least 20 epochs");
-        let mut log: Vec<(u64, u64)> = worlds.into_iter().flat_map(|w| w.log).collect();
+        let mut log: Vec<(u64, u64)> = logs.into_iter().flatten().collect();
         log.sort_unstable();
         log
     }
@@ -782,12 +413,11 @@ mod tests {
 
     #[test]
     fn epoch_inbox_is_in_src_seq_order() {
-        // Two sender shards both message shard 0; its inbox must list
+        // Three sender shards all message shard 0; its inbox must list
         // shard-0-sourced messages first, each lane FIFO.
         struct Sender {
             shard: usize,
             seen: Vec<(usize, u32)>,
-            rounds: u32,
         }
         impl ShardWorld for Sender {
             type Msg = u32;
@@ -802,23 +432,23 @@ mod tests {
                     outbox.send(0, (self.shard as u32) * 10);
                     outbox.send(0, (self.shard as u32) * 10 + 1);
                 }
-                self.rounds += 1;
                 false
             }
         }
-        let mut worlds: Vec<Sender> = (0..3)
-            .map(|shard| Sender {
+        let (seen, _) = run_epochs_local(
+            Shards::new(3),
+            |shard| Sender {
                 shard,
                 seen: Vec::new(),
-                rounds: 0,
-            })
-            .collect();
-        run_epochs(&mut worlds);
+            },
+            |_, world| world.seen,
+        );
         assert_eq!(
-            worlds[0].seen,
+            seen[0],
             vec![(0, 0), (0, 1), (1, 10), (1, 11), (2, 20), (2, 21)]
         );
-        assert!(worlds[1].seen.is_empty());
+        assert!(seen[1].is_empty());
+        assert!(seen[2].is_empty());
     }
 
     /// The whole point of `run_epochs_local`: worlds holding non-`Send`
@@ -887,9 +517,12 @@ mod tests {
                 false
             }
         }
-        let mut worlds = vec![SelfSend { got: Vec::new() }];
-        let epochs = run_epochs(&mut worlds);
-        assert_eq!(worlds[0].got, vec![0, 1, 2]);
+        let (got, epochs) = run_epochs_local(
+            Shards::serial(),
+            |_| SelfSend { got: Vec::new() },
+            |_, world| world.got,
+        );
+        assert_eq!(got, vec![vec![0, 1, 2]]);
         assert!(epochs >= 4);
     }
 }
