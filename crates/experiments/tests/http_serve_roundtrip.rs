@@ -1,13 +1,18 @@
 //! End-to-end test: `wsu-loadgen`'s closed loop against `wsu-serve`'s
 //! front, over real sockets, with at least two worker threads — the
-//! in-process version of the CI http-smoke job.
+//! in-process version of the CI http-smoke job. The keep-alive tests at
+//! the end pin the front's read path at the socket: the worker polls
+//! for [`SPIN_BUDGET`] before it parks in a blocking read, and none of
+//! that may change what a client sees.
 
-use std::time::Duration;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use wsu_core::serve::ServeSpec;
 use wsu_experiments::loadgen::{render_bench_json, run_load, scrape_demand_total, LoadgenConfig};
 use wsu_experiments::serve::{FrontConfig, HttpFront};
-use wsu_obs::http::{http_get, HttpClient};
+use wsu_obs::http::{http_get, HttpClient, HttpConn, SPIN_BUDGET};
 
 fn start_front(workers: usize) -> HttpFront {
     HttpFront::start(FrontConfig::new(
@@ -237,4 +242,147 @@ fn front_shutdown_is_prompt_and_clean() {
     });
     rx.recv_timeout(Duration::from_secs(5))
         .expect("front shutdown hung");
+}
+
+/// The per-connection timeout of the keep-alive tests: short, so a
+/// timeout shows within the test, and far above [`SPIN_BUDGET`].
+const IO_TIMEOUT: Duration = Duration::from_millis(400);
+
+/// A one-worker deterministic front whose connections time out after
+/// [`IO_TIMEOUT`].
+fn start_short_timeout_front() -> HttpFront {
+    HttpFront::start(FrontConfig {
+        io_timeout: IO_TIMEOUT,
+        ..FrontConfig::new("127.0.0.1:0", 1, ServeSpec::deterministic(23))
+    })
+    .expect("start front")
+}
+
+/// A raw client connection that waits far longer than the front does.
+fn raw_client(front: &HttpFront) -> TcpStream {
+    let stream = TcpStream::connect(front.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+}
+
+#[test]
+fn requests_across_an_idle_gap_share_one_connection() {
+    let front = start_short_timeout_front();
+    let mut client =
+        HttpClient::connect(front.local_addr(), Duration::from_secs(5)).expect("connect");
+    let local = client.local_addr().expect("local addr");
+    // Each gap outlasts the spin budget, so the worker parks, and stays
+    // under the front's timeout, so the connection must survive it.
+    for gap in [Duration::ZERO, Duration::from_millis(5), IO_TIMEOUT / 2] {
+        assert!(gap.is_zero() || gap > SPIN_BUDGET * 10);
+        std::thread::sleep(gap);
+        let resp = client
+            .request("POST", "/demand", b"")
+            .expect("demand after a gap");
+        assert_eq!(
+            resp.status, 200,
+            "no 408 after a {gap:?} gap: {}",
+            resp.body
+        );
+        assert!(
+            resp.keep_alive,
+            "the connection must stay open after a {gap:?} gap"
+        );
+        assert_eq!(client.local_addr().expect("local addr"), local);
+    }
+    assert_eq!(front.demands(), 3);
+    front.shutdown();
+}
+
+#[test]
+fn partial_head_stalled_past_the_timeout_gets_408() {
+    let front = start_short_timeout_front();
+    let mut stream = raw_client(&front);
+    stream
+        .write_all(b"POST /demand HTTP/1.1\r\nHost: x\r\n")
+        .expect("write partial head");
+    let started = Instant::now();
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).expect("read until close");
+    let waited = started.elapsed();
+    let text = String::from_utf8_lossy(&response);
+    assert!(
+        text.starts_with("HTTP/1.1 408 "),
+        "stalled head must get 408, got {text:?}"
+    );
+    assert!(text.contains("Connection: close\r\n"));
+    assert!(
+        waited >= IO_TIMEOUT * 3 / 4,
+        "the 408 came after {waited:?}, before the {IO_TIMEOUT:?} timeout"
+    );
+    assert_eq!(front.demands(), 0);
+    front.shutdown();
+}
+
+#[test]
+fn idle_keep_alive_connection_closes_after_the_timeout_without_a_response() {
+    let front = start_short_timeout_front();
+    let addr = front.local_addr();
+    let mut conn = HttpConn::new(raw_client(&front));
+    conn.send_request("POST", "/demand", &addr.to_string(), b"", true)
+        .expect("send");
+    let resp = conn.recv_response().expect("response");
+    assert_eq!(resp.status, 200);
+    assert!(resp.keep_alive);
+    let started = Instant::now();
+    let mut rest = Vec::new();
+    let mut stream: &TcpStream = conn.get_ref();
+    stream.read_to_end(&mut rest).expect("read until close");
+    let waited = started.elapsed();
+    assert!(
+        rest.is_empty(),
+        "an idle close owes no response, got {:?}",
+        String::from_utf8_lossy(&rest)
+    );
+    assert!(
+        waited >= IO_TIMEOUT * 3 / 4 && waited < Duration::from_secs(5),
+        "idle connection closed after {waited:?}, expected about {IO_TIMEOUT:?}"
+    );
+    // The worker is free again for the next client.
+    assert_eq!(http_get(addr, "/health").expect("health").status, 200);
+    front.shutdown();
+}
+
+#[test]
+fn pipelined_requests_in_one_write_are_answered_in_order() {
+    let front = start_short_timeout_front();
+    let mut conn = HttpConn::new(raw_client(&front));
+    let demand = "POST /demand HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n";
+    let health = "GET /health HTTP/1.1\r\nHost: x\r\n\r\n";
+    let last = "POST /demand HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: close\r\n\r\n";
+    let batch = [demand, demand, health, demand, last].concat();
+    let mut stream: &TcpStream = conn.get_ref();
+    stream.write_all(batch.as_bytes()).expect("write batch");
+    for seq in 0..2 {
+        let resp = conn.recv_response().expect("demand response");
+        assert!(
+            resp.body.contains(&format!("\"seq\":{seq},")),
+            "{}",
+            resp.body
+        );
+    }
+    let resp = conn.recv_response().expect("health response");
+    assert_eq!((resp.status, resp.body.as_str()), (200, "ok\n"));
+    for seq in 2..4 {
+        let resp = conn.recv_response().expect("demand response");
+        assert!(
+            resp.body.contains(&format!("\"seq\":{seq},")),
+            "{}",
+            resp.body
+        );
+    }
+    let mut rest = Vec::new();
+    let mut stream: &TcpStream = conn.get_ref();
+    stream.read_to_end(&mut rest).expect("read until close");
+    assert!(rest.is_empty(), "nothing follows the closing response");
+    assert_eq!(front.demands(), 4);
+    front.shutdown();
 }

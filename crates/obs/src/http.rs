@@ -12,7 +12,10 @@
 //!   [`HttpConn::send`] writes a framed [`Response`];
 //! * **client** — [`HttpClient`] drives persistent (keep-alive)
 //!   connections for the load generator, and [`http_get`] stays the
-//!   one-shot scrape helper used by tests, `wsu-httpget` and CI.
+//!   one-shot scrape helper used by tests, `wsu-httpget` and CI;
+//! * **transport** — [`SpinThenPark`] is the serving front's socket:
+//!   keep-alive reads poll briefly before they block, so a prompt
+//!   client does not pay a thread wake-up per request.
 //!
 //! Everything is plain `std`; the connection type is generic over
 //! `Read + Write` so the framing logic is unit-testable on in-memory
@@ -31,7 +34,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Size bounds applied while reading a request or response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -420,20 +423,21 @@ impl<S: Read + Write> HttpConn<S> {
     pub fn send(&mut self, response: &Response, keep_alive: bool) -> io::Result<()> {
         self.out.clear();
         let status = response.status;
-        let reason = reason_phrase(status);
-        self.out
-            .extend_from_slice(format!("HTTP/1.1 {status} {reason}\r\n").as_bytes());
-        self.out
-            .extend_from_slice(format!("Content-Type: {}\r\n", response.content_type).as_bytes());
-        self.out
-            .extend_from_slice(format!("Content-Length: {}\r\n", response.body.len()).as_bytes());
+        write!(
+            self.out,
+            "HTTP/1.1 {status} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
+            reason_phrase(status),
+            response.content_type,
+            response.body.len()
+        )?;
         for (name, value) in &response.headers {
-            self.out
-                .extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
+            write!(self.out, "{name}: {value}\r\n")?;
         }
-        let connection = if keep_alive { "keep-alive" } else { "close" };
-        self.out
-            .extend_from_slice(format!("Connection: {connection}\r\n\r\n").as_bytes());
+        write!(
+            self.out,
+            "Connection: {}\r\n\r\n",
+            connection_token(keep_alive)
+        )?;
         self.out.extend_from_slice(&response.body);
         self.stream.write_all(&self.out)?;
         self.stream.flush()
@@ -450,15 +454,15 @@ impl<S: Read + Write> HttpConn<S> {
         keep_alive: bool,
     ) -> io::Result<()> {
         self.out.clear();
-        self.out
-            .extend_from_slice(format!("{method} {path} HTTP/1.1\r\nHost: {host}\r\n").as_bytes());
+        write!(self.out, "{method} {path} HTTP/1.1\r\nHost: {host}\r\n")?;
         if !body.is_empty() || method == "POST" || method == "PUT" {
-            self.out
-                .extend_from_slice(format!("Content-Length: {}\r\n", body.len()).as_bytes());
+            write!(self.out, "Content-Length: {}\r\n", body.len())?;
         }
-        let connection = if keep_alive { "keep-alive" } else { "close" };
-        self.out
-            .extend_from_slice(format!("Connection: {connection}\r\n\r\n").as_bytes());
+        write!(
+            self.out,
+            "Connection: {}\r\n\r\n",
+            connection_token(keep_alive)
+        )?;
         self.out.extend_from_slice(body);
         self.stream.write_all(&self.out)?;
         self.stream.flush()
@@ -505,6 +509,119 @@ impl<S: Read + Write> HttpConn<S> {
             bytes,
             keep_alive,
         })
+    }
+}
+
+/// How long [`SpinThenPark`] polls a quiet socket before it parks the
+/// thread in a blocking read. Long enough to cover a closed-loop
+/// client's turnaround on loopback (a few to a few tens of µs), short
+/// enough that an idle connection costs its worker only this much CPU
+/// before it sleeps.
+pub const SPIN_BUDGET: Duration = Duration::from_micros(100);
+
+/// A `TcpStream` whose reads **spin, then park**: a read first polls
+/// the socket in nonblocking mode for up to [`SPIN_BUDGET`], yielding
+/// the core between polls, and only then falls back to a blocking read
+/// bounded by the stream's read timeout.
+///
+/// A blocking `read` between keep-alive requests costs a thread
+/// wake-up per request, which on a VM is a cross-core interrupt and
+/// scheduler round trip worth several µs. A client that answers within
+/// the budget never pays it. The yield keeps an oversubscribed host
+/// (more runnable threads than cores) from starving the very peer the
+/// poll is waiting for.
+///
+/// The socket switches mode only on idle transitions: it stays
+/// nonblocking while requests keep arriving inside the budget, turns
+/// blocking when a read parks or a write finds the send buffer full,
+/// and turns nonblocking again at the next read. A write that would
+/// block therefore waits under the stream's write timeout, as on a
+/// plain blocking stream. Reads retry `EINTR` (`write_all` already
+/// does for writes). Set the read and write timeouts on the stream
+/// before wrapping it.
+#[derive(Debug)]
+pub struct SpinThenPark {
+    stream: TcpStream,
+    /// Whether the socket is currently in blocking mode.
+    blocking: bool,
+}
+
+impl SpinThenPark {
+    /// Wraps `stream`, putting it in nonblocking mode.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the mode switch's failure.
+    pub fn new(stream: TcpStream) -> io::Result<SpinThenPark> {
+        stream.set_nonblocking(true)?;
+        Ok(SpinThenPark {
+            stream,
+            blocking: false,
+        })
+    }
+
+    fn set_blocking(&mut self, blocking: bool) -> io::Result<()> {
+        if self.blocking != blocking {
+            self.stream.set_nonblocking(!blocking)?;
+            self.blocking = blocking;
+        }
+        Ok(())
+    }
+}
+
+/// Runs `op` until it returns anything but `ErrorKind::Interrupted`.
+fn retry_interrupted<T>(mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+    loop {
+        match op() {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            other => return other,
+        }
+    }
+}
+
+impl Read for SpinThenPark {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.set_blocking(false)?;
+        let mut deadline = None;
+        loop {
+            match retry_interrupted(|| self.stream.read(buf)) {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    let now = Instant::now();
+                    if now >= *deadline.get_or_insert(now + SPIN_BUDGET) {
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+                other => return other,
+            }
+        }
+        self.set_blocking(true)?;
+        retry_interrupted(|| self.stream.read(buf))
+    }
+}
+
+impl Write for SpinThenPark {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self.stream.write(buf) {
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock && !self.blocking => {
+                self.set_blocking(true)?;
+                self.stream.write(buf)
+            }
+            other => other,
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+/// The `Connection` header value for a keep-alive choice.
+fn connection_token(keep_alive: bool) -> &'static str {
+    if keep_alive {
+        "keep-alive"
+    } else {
+        "close"
     }
 }
 
@@ -959,6 +1076,89 @@ mod tests {
         assert!(written.contains("Allow: GET\r\n"));
         assert!(written.contains("Content-Length: 19\r\n"));
         assert!(written.contains("Connection: close\r\n"));
+    }
+
+    /// The head rendering before heads were written in place: one
+    /// `format!` per line. Kept as the reference the wire bytes must
+    /// match.
+    fn reference_response(response: &Response, keep_alive: bool) -> Vec<u8> {
+        let mut out = Vec::new();
+        let status = response.status;
+        let reason = reason_phrase(status);
+        out.extend_from_slice(format!("HTTP/1.1 {status} {reason}\r\n").as_bytes());
+        out.extend_from_slice(format!("Content-Type: {}\r\n", response.content_type).as_bytes());
+        out.extend_from_slice(format!("Content-Length: {}\r\n", response.body.len()).as_bytes());
+        for (name, value) in &response.headers {
+            out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
+        }
+        let connection = if keep_alive { "keep-alive" } else { "close" };
+        out.extend_from_slice(format!("Connection: {connection}\r\n\r\n").as_bytes());
+        out.extend_from_slice(&response.body);
+        out
+    }
+
+    fn reference_request(
+        method: &str,
+        path: &str,
+        host: &str,
+        body: &[u8],
+        keep_alive: bool,
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(format!("{method} {path} HTTP/1.1\r\nHost: {host}\r\n").as_bytes());
+        if !body.is_empty() || method == "POST" || method == "PUT" {
+            out.extend_from_slice(format!("Content-Length: {}\r\n", body.len()).as_bytes());
+        }
+        let connection = if keep_alive { "keep-alive" } else { "close" };
+        out.extend_from_slice(format!("Connection: {connection}\r\n\r\n").as_bytes());
+        out.extend_from_slice(body);
+        out
+    }
+
+    #[test]
+    fn heads_render_the_reference_bytes() {
+        let responses = [
+            Response::json(200, "{\"seq\":0}"),
+            Response::text(404, ""),
+            Response::method_not_allowed("GET, POST"),
+            Response::bytes(418, "application/octet-stream", vec![0, 0xff, b'\n'])
+                .with_header("X-A", "1")
+                .with_header("X-B", ""),
+        ];
+        // One connection for every message: the reused `out` buffer
+        // must not leak bytes from one message into the next.
+        let mut conn = HttpConn::new(MemStream::new(b""));
+        let mut expected = Vec::new();
+        for response in &responses {
+            for keep_alive in [true, false] {
+                conn.send(response, keep_alive).expect("send");
+                expected.extend(reference_response(response, keep_alive));
+            }
+        }
+        let requests: [(&str, &str, &[u8]); 4] = [
+            ("GET", "/metrics", b""),
+            ("POST", "/demand", b""),
+            ("PUT", "/x?y=1", b"body"),
+            ("DELETE", "/", b"z"),
+        ];
+        for (method, path, body) in requests {
+            for keep_alive in [true, false] {
+                conn.send_request(method, path, "127.0.0.1:9", body, keep_alive)
+                    .expect("send request");
+                expected.extend(reference_request(
+                    method,
+                    path,
+                    "127.0.0.1:9",
+                    body,
+                    keep_alive,
+                ));
+            }
+        }
+        assert_eq!(
+            String::from_utf8_lossy(&conn.stream.output),
+            String::from_utf8_lossy(&expected)
+        );
+        assert_eq!(conn.stream.output, expected);
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! It also pins `Content-Length` framing on both receive paths: a
 //! signed value (`+2`) and two conflicting values are ambiguous framing
 //! (RFC 9110 §8.6, RFC 9112 §6.3) and must be rejected with `400`,
-//! never resolved by guessing.
+//! never resolved by guessing. Last, it checks that a `SpinThenPark`
+//! socket, which sits in nonblocking mode between requests, still
+//! delivers a body larger than the socket buffers to a reader that
+//! drains it late.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -25,7 +28,9 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use wsu_obs::export::MetricsExporter;
-use wsu_obs::http::{http_get, HttpClient, RecvError};
+use wsu_obs::http::{
+    http_get, HttpClient, HttpConfig, HttpConn, RecvError, Response, SpinThenPark,
+};
 
 /// Opens a raw client connection to `addr` with short timeouts.
 fn raw_connect(addr: SocketAddr) -> TcpStream {
@@ -342,4 +347,61 @@ fn concurrent_gets_during_shutdown_do_not_wedge() {
     for scraper in scrapers {
         scraper.join().expect("scraper thread");
     }
+}
+
+// ---------------------------------------------------------------
+// SpinThenPark: a write that finds the send buffer full must wait.
+// ---------------------------------------------------------------
+
+#[test]
+fn spin_then_park_delivers_a_large_body_to_a_late_reader() {
+    // Larger than loopback's send buffer (at most 4 MiB by default)
+    // plus an unread receive window, so the nonblocking socket's
+    // write runs into WouldBlock and must fall back to blocking.
+    const BODY: usize = 8 << 20;
+    const READER_DELAY: Duration = Duration::from_millis(300);
+    let body: Vec<u8> = (0..BODY).map(|i| b'a' + (i % 26) as u8).collect();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let served = body.clone();
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        stream
+            .set_write_timeout(Some(Duration::from_secs(5)))
+            .expect("write timeout");
+        let mut conn = HttpConn::new(SpinThenPark::new(stream).expect("nonblocking"));
+        let request = conn.recv().expect("request");
+        assert_eq!(request.path, "/metrics");
+        let started = Instant::now();
+        let sent = conn.send(&Response::bytes(200, "text/plain", served), false);
+        (sent, started.elapsed())
+    });
+
+    let stream = raw_connect(addr);
+    let mut client = HttpConn::with_config(
+        stream,
+        HttpConfig {
+            max_body_bytes: BODY,
+            ..HttpConfig::default()
+        },
+    );
+    client
+        .send_request("GET", "/metrics", &addr.to_string(), b"", false)
+        .expect("send request");
+    std::thread::sleep(READER_DELAY);
+    let response = client.recv_response().expect("whole response");
+    let (sent, send_time) = server.join().expect("server thread");
+    sent.expect("the server's write must wait for the reader, not fail");
+    assert_eq!(response.status, 200);
+    assert!(
+        response.bytes == body,
+        "body must arrive whole and in order"
+    );
+    assert!(
+        send_time >= READER_DELAY / 2,
+        "the body fit in the socket buffers ({send_time:?}): the test no longer fills them"
+    );
 }
