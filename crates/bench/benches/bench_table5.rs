@@ -1,12 +1,15 @@
 //! Benchmarks regeneration of Table 5 (correlated releases): one run
 //! (four workloads share the structure; run 1 is representative) across
-//! the three paper timeouts at 2,000 requests.
+//! the three paper timeouts at 2,000 requests, plus the two halves of a
+//! paper-scale run — planning its 10,000 demands once, and simulating
+//! one timeout column over that plan.
 
 use std::hint::black_box;
 use wsu_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wsu_experiments::midsim::simulate_run;
+use wsu_core::middleware::MiddlewareConfig;
+use wsu_experiments::midsim::{plan_run, simulate_cell, simulate_run};
 use wsu_experiments::table5::run_table5_with;
-use wsu_experiments::{DEFAULT_SEED, PAPER_TIMEOUTS};
+use wsu_experiments::{DEFAULT_SEED, PAPER_REQUESTS, PAPER_TIMEOUTS};
 use wsu_workload::outcomes::CorrelatedOutcomes;
 use wsu_workload::runs::RunSpec;
 use wsu_workload::timing::ExecTimeModel;
@@ -42,5 +45,34 @@ fn table5(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, table5);
+fn midsim(c: &mut Criterion) {
+    let mut group = c.benchmark_group("experiments/midsim");
+    group.sample_size(10);
+    let gen = CorrelatedOutcomes::from_run(&RunSpec::run1());
+    let timing = ExecTimeModel::paper();
+    group.bench_function(BenchmarkId::new("plan_run", PAPER_REQUESTS), |b| {
+        b.iter(|| {
+            black_box(plan_run(
+                &gen,
+                timing,
+                PAPER_REQUESTS,
+                DEFAULT_SEED,
+                "table5/run1",
+            ))
+        });
+    });
+    let plan = plan_run(&gen, timing, PAPER_REQUESTS, DEFAULT_SEED, "table5/run1");
+    group.bench_function(BenchmarkId::new("simulate_cell", PAPER_REQUESTS), |b| {
+        b.iter(|| {
+            black_box(simulate_cell(
+                &plan,
+                MiddlewareConfig::paper(2.0),
+                DEFAULT_SEED,
+            ))
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, table5, midsim);
 criterion_main!(benches);

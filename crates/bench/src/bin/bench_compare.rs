@@ -200,6 +200,7 @@ mod tests {
     fn parses_rendered_reports_round_trip() {
         let json = render_json(
             "BENCH_test",
+            "2 x Test CPU",
             &[entry("a/b", 1234), entry("c/d/e", 9_999_999)],
         );
         let rows = parse_report(&json).unwrap();
@@ -222,7 +223,7 @@ mod tests {
     fn rejects_foreign_schemas_and_empty_input() {
         assert!(parse_report("{\"schema\": \"other/2\"}").is_err());
         assert!(parse_report("").is_err());
-        let empty = render_json("BENCH_empty", &[]);
+        let empty = render_json("BENCH_empty", "1 x Test CPU", &[]);
         assert_eq!(parse_report(&empty).unwrap(), Vec::<Row>::new());
     }
 

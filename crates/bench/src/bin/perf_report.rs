@@ -15,13 +15,18 @@ use std::time::{Duration, Instant};
 
 use wsu_bayes::whitebox::Resolution;
 use wsu_bench::report::{write_json, Entry};
+use wsu_core::middleware::MiddlewareConfig;
 use wsu_experiments::bayes_study::StudyConfig;
 use wsu_experiments::campaign::{run_campaign_jobs, standard_plans, CampaignConfig};
 use wsu_experiments::fleetstudy::{run_fleetstudy_jobs, standard_cells, FleetStudyConfig};
-use wsu_experiments::midsim::ObsSinks;
-use wsu_experiments::{ablation, figures, table2, table5, table6, DEFAULT_SEED, PAPER_TIMEOUTS};
+use wsu_experiments::midsim::{plan_run, simulate_cell, ObsSinks};
+use wsu_experiments::{
+    ablation, figures, table2, table5, table6, DEFAULT_SEED, PAPER_REQUESTS, PAPER_TIMEOUTS,
+};
 use wsu_simcore::par::Jobs;
 use wsu_simcore::rng::MasterSeed;
+use wsu_workload::outcomes::CorrelatedOutcomes;
+use wsu_workload::runs::RunSpec;
 use wsu_workload::timing::ExecTimeModel;
 
 fn time_runs<F: FnMut()>(name: &str, samples: usize, mut run: F) -> Entry {
@@ -225,6 +230,39 @@ fn main() -> std::io::Result<()> {
             },
         ));
     }
+
+    // The two halves of one paper-scale Table 5 run, at paper scale
+    // whatever `--full` says: planning its demands (once per run, shared
+    // by every timeout column) and simulating one column over the plan.
+    let run1 = CorrelatedOutcomes::from_run(&RunSpec::run1());
+    let plan_run1 = || {
+        plan_run(
+            &run1,
+            ExecTimeModel::paper(),
+            PAPER_REQUESTS,
+            DEFAULT_SEED,
+            "table5/run1",
+        )
+    };
+    entries.push(time_runs(
+        &format!("experiments/midsim/plan_run/{PAPER_REQUESTS}"),
+        samples,
+        || {
+            std::hint::black_box(plan_run1());
+        },
+    ));
+    let plan = plan_run1();
+    entries.push(time_runs(
+        &format!("experiments/midsim/simulate_cell/{PAPER_REQUESTS}"),
+        samples,
+        || {
+            std::hint::black_box(simulate_cell(
+                &plan,
+                MiddlewareConfig::paper(2.0),
+                DEFAULT_SEED,
+            ));
+        },
+    ));
 
     let path = out_dir.join("BENCH_experiments.json");
     write_json(&path, "BENCH_experiments", &entries)?;

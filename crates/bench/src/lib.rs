@@ -237,6 +237,7 @@ impl Criterion {
 ///   "schema": "wsu-bench/1",
 ///   "bench": "BENCH_bayes",
 ///   "unit": "ns",
+///   "machine": "2 x Intel(R) Xeon(R) Processor @ 2.30GHz",
 ///   "results": [
 ///     { "name": "bayes/incremental/checkpoint", "median_ns": 1234,
 ///       "min_ns": 1200, "max_ns": 1300 }
@@ -246,7 +247,9 @@ impl Criterion {
 ///
 /// `median_ns` is the median ns/op (micro-benchmarks) or the median wall
 /// time of a whole run (experiment trajectories); `min_ns`/`max_ns` bound
-/// the observed samples.
+/// the observed samples. `machine` is the recording host's fingerprint
+/// (hardware threads and CPU model, see [`report::machine_fingerprint`]),
+/// so a reader can tell a comparison across machines from a regression.
 pub mod report {
     use std::path::Path;
     use std::time::Duration;
@@ -279,14 +282,33 @@ pub mod report {
         out
     }
 
+    /// The fingerprint of the machine this process runs on: its hardware
+    /// thread count and CPU model, e.g. `2 x Intel(R) Xeon(R) Processor
+    /// @ 2.30GHz` (`unknown CPU` where `/proc/cpuinfo` has no model name).
+    pub fn machine_fingerprint() -> String {
+        let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split_once(':'))
+                    .map(|(_, model)| model.trim().to_owned())
+            })
+            .unwrap_or_else(|| "unknown CPU".to_owned());
+        format!("{nproc} x {cpu}")
+    }
+
     /// Renders a report to its JSON string. `bench` names the report
-    /// (conventionally the output file stem, e.g. `BENCH_bayes`).
-    pub fn render_json(bench: &str, entries: &[Entry]) -> String {
+    /// (conventionally the output file stem, e.g. `BENCH_bayes`) and
+    /// `machine` is the recording host's fingerprint.
+    pub fn render_json(bench: &str, machine: &str, entries: &[Entry]) -> String {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str("  \"schema\": \"wsu-bench/1\",\n");
         out.push_str(&format!("  \"bench\": \"{}\",\n", escape(bench)));
         out.push_str("  \"unit\": \"ns\",\n");
+        out.push_str(&format!("  \"machine\": \"{}\",\n", escape(machine)));
         out.push_str("  \"results\": [\n");
         for (i, e) in entries.iter().enumerate() {
             out.push_str(&format!(
@@ -302,7 +324,8 @@ pub mod report {
         out
     }
 
-    /// Writes a report to `path` (creating parent directories).
+    /// Writes a report to `path` (creating parent directories), stamped
+    /// with this machine's [`machine_fingerprint`].
     ///
     /// # Errors
     ///
@@ -313,7 +336,7 @@ pub mod report {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        std::fs::write(path, render_json(bench, entries))
+        std::fs::write(path, render_json(bench, &machine_fingerprint(), entries))
     }
 }
 

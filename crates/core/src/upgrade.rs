@@ -242,7 +242,9 @@ pub struct ManagedUpgrade {
     phase: UpgradePhase,
     old: ReleaseId,
     new: ReleaseId,
-    operation: String,
+    /// The request every demand sends, built once from the configured
+    /// operation.
+    request: Envelope,
     assess_interval: u64,
     auto_switch: bool,
     abort: Option<crate::manage::AbortPolicy>,
@@ -306,7 +308,7 @@ impl ManagedUpgrade {
             phase: UpgradePhase::Transitional,
             old: old_id,
             new: new_id,
-            operation: config.operation,
+            request: Envelope::request(config.operation),
             assess_interval: config.assess_interval,
             auto_switch: config.auto_switch,
             abort: config.abort,
@@ -375,10 +377,9 @@ impl ManagedUpgrade {
             }
         }
         self.middleware.set_virtual_time(self.virtual_time);
-        let request = Envelope::request(self.operation.clone());
         let record = self
             .middleware
-            .process(&request, &mut self.demand_rng)
+            .process(&self.request, &mut self.demand_rng)
             .expect("at least one active release");
         self.monitor.observe(&record, &mut self.monitor_rng);
         // Same phase attribution as the middleware's SpanClosed event:

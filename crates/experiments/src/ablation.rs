@@ -48,8 +48,7 @@ pub fn run_adjudicator_ablation_jobs(
 ) -> Vec<AdjudicatorRow> {
     let spec = RunSpec::run1();
     let gen = CorrelatedOutcomes::from_run(&spec);
-    let mut planner =
-        wsu_workload::demand::DemandPlanner::new(&gen, ExecTimeModel::paper(), "invoke");
+    let mut planner = wsu_workload::demand::DemandPlanner::new(&gen, ExecTimeModel::paper());
     let mut plan_rng = seed.stream("ablation/adjudicators/plan");
     let plan = planner.plan_batch(requests as usize, &mut plan_rng);
     const POLICIES: [SelectionPolicy; 3] = [
@@ -86,8 +85,7 @@ pub struct ModeRow {
 pub fn run_mode_ablation_jobs(seed: MasterSeed, requests: u64, jobs: Jobs) -> Vec<ModeRow> {
     let spec = RunSpec::run2();
     let gen = CorrelatedOutcomes::from_run(&spec);
-    let mut planner =
-        wsu_workload::demand::DemandPlanner::new(&gen, ExecTimeModel::paper(), "invoke");
+    let mut planner = wsu_workload::demand::DemandPlanner::new(&gen, ExecTimeModel::paper());
     let mut plan_rng = seed.stream("ablation/modes/plan");
     let plan = planner.plan_batch(requests as usize, &mut plan_rng);
     let modes = [

@@ -22,7 +22,7 @@ const USAGE: &str = "ablations [--quick] [--jobs N] [--trace PATH] [--metrics PA
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let jobs = jobs_from_env(USAGE);
-    let mut ctx = ObsOptions::from_env().context();
+    let mut ctx = ObsOptions::from_env(USAGE).context();
     let requests = if quick { 2_000 } else { 10_000 };
     let study = StudyConfig {
         demands: if quick { 10_000 } else { 50_000 },

@@ -27,7 +27,7 @@ fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
-    let mut ctx = ObsOptions::from_env().context();
+    let mut ctx = ObsOptions::from_env(USAGE).context();
     let sinks = ctx.sinks();
     let out_dir = args
         .iter()

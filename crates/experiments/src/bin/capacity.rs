@@ -17,7 +17,7 @@ const USAGE: &str = "capacity [--quick] [--jobs N] [--trace PATH] [--metrics PAT
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let jobs = jobs_from_env(USAGE);
-    let mut ctx = ObsOptions::from_env().context();
+    let mut ctx = ObsOptions::from_env(USAGE).context();
     let demands = if quick { 3_000 } else { 20_000 };
     let gen = CorrelatedOutcomes::from_run(&RunSpec::run2());
     let results = ctx.time("capacity/study", || {

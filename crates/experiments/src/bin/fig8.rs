@@ -17,7 +17,7 @@ const USAGE: &str = "fig8 [--quick] [--jobs N] [--trace PATH] [--metrics PATH]";
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let jobs = jobs_from_env(USAGE);
-    let mut ctx = ObsOptions::from_env().context();
+    let mut ctx = ObsOptions::from_env(USAGE).context();
     let config = if quick {
         StudyConfig {
             demands: 3_000,

@@ -28,7 +28,7 @@ fn main() {
         .filter_map(|(i, _)| args.get(i + 1))
         .collect();
     let jobs = jobs_from_env(USAGE);
-    let mut ctx = ObsOptions::from_env().context();
+    let mut ctx = ObsOptions::from_env(USAGE).context();
     let config = if quick {
         FleetStudyConfig::quick()
     } else {

@@ -49,7 +49,7 @@ fn main() {
         .then(Resolution::adaptive);
     let spread_seeds = seeds_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
     let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
-    let mut ctx = ObsOptions::from_env().context();
+    let mut ctx = ObsOptions::from_env(USAGE).context();
     let (c1, c2) = if quick {
         let res = Resolution {
             a_cells: 48,

@@ -11,20 +11,23 @@
 //! the table on stdout; `--serve-metrics` serves the snapshot live on
 //! `http://127.0.0.1:PORT/metrics` (`--serve-hold` keeps it up after
 //! the run); `--phase-metrics` adds the wall-clock `wsu_phase_seconds`
-//! gauges to the snapshot.
+//! gauges to the snapshot. Any other argument, or a malformed value,
+//! is a usage error (exit status 2).
 
-use wsu_experiments::obs::{jobs_from_env, ObsOptions};
+use wsu_experiments::obs::{check_flags_from_env, jobs_from_env, ObsOptions};
 use wsu_experiments::table5::run_table5_jobs;
 use wsu_experiments::{DEFAULT_SEED, PAPER_REQUESTS, PAPER_TIMEOUTS};
 use wsu_workload::timing::ExecTimeModel;
 
-const USAGE: &str = "table5 [--quick] [--calibrated] [--jobs N] [--trace PATH] [--metrics PATH]";
+const USAGE: &str = "table5 [--quick] [--calibrated] [--jobs N] [--trace PATH] [--metrics PATH] \
+                     [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]";
 
 fn main() {
+    check_flags_from_env(USAGE, &[("--quick", false), ("--calibrated", false)]);
     let quick = std::env::args().any(|a| a == "--quick");
     let calibrated = std::env::args().any(|a| a == "--calibrated");
     let jobs = jobs_from_env(USAGE);
-    let mut ctx = ObsOptions::from_env().context();
+    let mut ctx = ObsOptions::from_env(USAGE).context();
     let timing = if calibrated {
         ExecTimeModel::calibrated()
     } else {

@@ -270,10 +270,10 @@ pub fn simulate_run(
 /// Plans one run's demands: the joint outcomes and execution times all
 /// timeout columns of that run replay.
 ///
-/// The plan stream is derived from `(seed, run_tag)` alone, so any
-/// replication (or worker thread) re-deriving the plan for the same run
-/// obtains the identical batch — the property the parallel runner
-/// relies on when each `(run, timeout)` cell replans independently.
+/// The plan stream is derived from `(seed, run_tag)` alone, so a run's
+/// plan does not depend on which worker thread computes it, nor on the
+/// other runs planned beside it. Callers plan each run once and let
+/// every timeout column borrow the result.
 pub fn plan_run(
     outcomes: &dyn OutcomePairGen,
     timing: ExecTimeModel,
@@ -281,7 +281,7 @@ pub fn plan_run(
     seed: MasterSeed,
     run_tag: &str,
 ) -> Vec<PlannedDemand> {
-    let mut planner = DemandPlanner::new(outcomes, timing, "invoke");
+    let mut planner = DemandPlanner::new(outcomes, timing);
     let mut plan_rng = seed.stream(&format!("midsim/plan/{run_tag}"));
     planner.plan_batch(requests as usize, &mut plan_rng)
 }

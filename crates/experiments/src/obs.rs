@@ -48,8 +48,10 @@ impl ObsOptions {
     /// Scans `args` for the observability flags.
     ///
     /// Unrelated arguments are left alone, so binaries keep their own
-    /// flag handling untouched.
-    pub fn parse(args: &[String]) -> ObsOptions {
+    /// flag handling untouched. A `--serve-metrics` value that is not a
+    /// port number, or a `--serve-hold` value that is not a finite
+    /// number, is an error, never a silent fallback.
+    pub fn parse(args: &[String]) -> Result<ObsOptions, String> {
         fn raw_value_after<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
             args.iter()
                 .position(|a| a == flag)
@@ -58,20 +60,75 @@ impl ObsOptions {
         fn value_after(args: &[String], flag: &str) -> Option<PathBuf> {
             raw_value_after(args, flag).map(PathBuf::from)
         }
-        ObsOptions {
+        fn parsed_after<T>(
+            args: &[String],
+            flag: &str,
+            what: &str,
+            parse: fn(&str) -> Option<T>,
+        ) -> Result<Option<T>, String> {
+            raw_value_after(args, flag)
+                .map(|v| parse(v).ok_or_else(|| format!("{flag}: expected {what}, got {v:?}")))
+                .transpose()
+        }
+        Ok(ObsOptions {
             trace: value_after(args, "--trace"),
             metrics: value_after(args, "--metrics"),
-            serve: raw_value_after(args, "--serve-metrics").and_then(|v| v.parse().ok()),
-            serve_hold: raw_value_after(args, "--serve-hold").and_then(|v| v.parse().ok()),
+            serve: parsed_after(args, "--serve-metrics", "a port number", |v| v.parse().ok())?,
+            serve_hold: parsed_after(args, "--serve-hold", "a number of seconds", |v| {
+                v.parse().ok().filter(|secs: &f64| secs.is_finite())
+            })?,
             phase_metrics: args.iter().any(|a| a == "--phase-metrics"),
-        }
+        })
     }
 
-    /// Parses the current process's arguments.
-    pub fn from_env() -> ObsOptions {
+    /// Parses the current process's arguments; a malformed value exits
+    /// through [`exit_usage`] with `usage`.
+    pub fn from_env(usage: &str) -> ObsOptions {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        ObsOptions::parse(&args)
+        ObsOptions::parse(&args).unwrap_or_else(|e| exit_usage(usage, &e))
     }
+}
+
+/// The flags every experiment binary shares, as `(flag, takes a value)`:
+/// `--jobs` and the observability flags.
+pub const SHARED_FLAGS: [(&str, bool); 6] = [
+    ("--jobs", true),
+    ("--trace", true),
+    ("--metrics", true),
+    ("--serve-metrics", true),
+    ("--serve-hold", true),
+    ("--phase-metrics", false),
+];
+
+/// Checks that `args` holds only known flags: the binary's `own` flags
+/// and [`SHARED_FLAGS`], each given as `(flag, takes a value)`. An
+/// unknown flag, a stray positional argument or a valued flag without
+/// its value is an error.
+pub fn check_flags(args: &[String], own: &[(&str, bool)]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let known = own
+            .iter()
+            .chain(SHARED_FLAGS.iter())
+            .find(|(f, _)| f == arg);
+        match known {
+            Some((_, false)) => {}
+            Some((flag, true)) => {
+                rest.next()
+                    .ok_or_else(|| format!("{flag}: expected a value"))?;
+            }
+            None if arg.starts_with('-') => return Err(format!("unknown flag {arg:?}")),
+            None => return Err(format!("unexpected argument {arg:?}")),
+        }
+    }
+    Ok(())
+}
+
+/// [`check_flags`] on the current process's arguments; a rejected
+/// argument exits through [`exit_usage`] with `usage`.
+pub fn check_flags_from_env(usage: &str, own: &[(&str, bool)]) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args, own).unwrap_or_else(|e| exit_usage(usage, &e));
 }
 
 /// Parses the shared `--jobs N` flag: `N` workers (`0` clamped to 1);
@@ -329,14 +386,14 @@ mod tests {
     #[test]
     fn parses_both_flags_anywhere() {
         let args = strs(&["--quick", "--trace", "t.jsonl", "--metrics", "m.prom"]);
-        let opts = ObsOptions::parse(&args);
+        let opts = ObsOptions::parse(&args).unwrap();
         assert_eq!(opts.trace, Some(PathBuf::from("t.jsonl")));
         assert_eq!(opts.metrics, Some(PathBuf::from("m.prom")));
     }
 
     #[test]
     fn missing_flags_disable_everything() {
-        let opts = ObsOptions::parse(&strs(&["--quick"]));
+        let opts = ObsOptions::parse(&strs(&["--quick"])).unwrap();
         assert_eq!(opts, ObsOptions::default());
         let ctx = opts.context();
         assert!(!ctx.enabled());
@@ -346,10 +403,60 @@ mod tests {
 
     #[test]
     fn flag_without_value_is_ignored() {
-        let opts = ObsOptions::parse(&strs(&["--trace"]));
+        let opts = ObsOptions::parse(&strs(&["--trace"])).unwrap();
         assert_eq!(opts.trace, None);
-        let opts = ObsOptions::parse(&strs(&["--serve-metrics", "not-a-port"]));
+        let opts = ObsOptions::parse(&strs(&["--serve-metrics"])).unwrap();
         assert_eq!(opts.serve, None);
+    }
+
+    #[test]
+    fn non_numeric_serve_values_are_errors() {
+        let err = ObsOptions::parse(&strs(&["--serve-metrics", "not-a-port"]))
+            .expect_err("non-numeric port");
+        assert_eq!(
+            err,
+            "--serve-metrics: expected a port number, got \"not-a-port\""
+        );
+        for bad in [
+            &["--serve-metrics", "70000"][..],
+            &["--serve-metrics", "-1"],
+            &["--serve-hold", "inf"],
+            &["--serve-hold", "NaN"],
+        ] {
+            assert!(ObsOptions::parse(&strs(bad)).is_err(), "{bad:?}");
+        }
+        let err = ObsOptions::parse(&strs(&["--serve-hold", "soon"])).expect_err("bad hold");
+        assert!(
+            err.starts_with("--serve-hold: expected a number of seconds"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn check_flags_accepts_own_and_shared_flags_only() {
+        let own = [("--quick", false), ("--cell", true)];
+        let ok = strs(&[
+            "--quick",
+            "--cell",
+            "canary",
+            "--jobs",
+            "2",
+            "--trace",
+            "t.jsonl",
+            "--phase-metrics",
+        ]);
+        assert_eq!(check_flags(&ok, &own), Ok(()));
+        assert_eq!(check_flags(&[], &own), Ok(()));
+        let err = check_flags(&strs(&["--quick", "--shards", "2"]), &own).unwrap_err();
+        assert_eq!(err, "unknown flag \"--shards\"");
+        let err = check_flags(&strs(&["--quick", "extra"]), &own).unwrap_err();
+        assert_eq!(err, "unexpected argument \"extra\"");
+        let err = check_flags(&strs(&["--cell"]), &own).unwrap_err();
+        assert_eq!(err, "--cell: expected a value");
+        // A valued flag consumes the next argument even if it looks
+        // like a flag, so `--trace --quick` writes to a file named
+        // `--quick`, as `ObsOptions::parse` reads it.
+        assert_eq!(check_flags(&strs(&["--trace", "--quick"]), &own), Ok(()));
     }
 
     #[test]
@@ -361,7 +468,7 @@ mod tests {
             "2.5",
             "--phase-metrics",
         ]);
-        let opts = ObsOptions::parse(&args);
+        let opts = ObsOptions::parse(&args).unwrap();
         assert_eq!(opts.serve, Some(9184));
         assert_eq!(opts.serve_hold, Some(2.5));
         assert!(opts.phase_metrics);

@@ -6,7 +6,7 @@
 //! CR, EER, NER, Total and NRDT.
 
 use wsu_core::middleware::MiddlewareConfig;
-use wsu_simcore::par::Jobs;
+use wsu_simcore::par::{par_map_slice, Jobs};
 use wsu_simcore::rng::MasterSeed;
 use wsu_workload::outcomes::CorrelatedOutcomes;
 use wsu_workload::runs::RunSpec;
@@ -120,11 +120,13 @@ pub fn run_table5_jobs(
     }
 }
 
-/// Fans the `(run, timeout)` grid out as replications, run-major and
-/// timeout-minor (the sequential iteration order). Each cell re-derives
-/// its run's demand plan — identical for every cell of the run, see
-/// [`plan_run`] — and simulates its own timeout column with its own
-/// generator, RNG streams and observability sinks.
+/// Plans every run once, then fans the `(run, timeout)` grid out as
+/// replications, run-major and timeout-minor (the sequential iteration
+/// order). Every timeout column of a run borrows that run's plan — the
+/// paper's same-demands-per-run design, see [`plan_run`] — and simulates
+/// with its own RNG streams and observability sinks. Planning draws no
+/// observability events, so both fan-outs are byte-identical for any
+/// `jobs`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_table_cells<G, F>(
     table_tag: &str,
@@ -141,18 +143,19 @@ where
     G: wsu_workload::outcomes::OutcomePairGen,
     F: Fn(&RunSpec) -> G + Sync,
 {
+    let run_tag = |spec: &RunSpec| format!("{table_tag}/run{}", spec.run);
+    let plans = par_map_slice(jobs, specs, |_, spec| {
+        plan_run(&make_gen(spec), timing, requests, seed, &run_tag(spec))
+    });
     run_replications(jobs, specs.len() * timeouts.len(), sinks, |r, local| {
         let spec = &specs[r / timeouts.len()];
         let timeout = timeouts[r % timeouts.len()];
-        let gen = make_gen(spec);
-        let run_tag = format!("{table_tag}/run{}", spec.run);
-        let plan = plan_run(&gen, timing, requests, seed, &run_tag);
         simulate_cell_observed(
-            &plan,
+            &plans[r / timeouts.len()],
             MiddlewareConfig::paper(timeout),
             seed,
             local,
-            &format!("{run_tag}/t{timeout}"),
+            &format!("{}/t{timeout}", run_tag(spec)),
         )
     })
 }

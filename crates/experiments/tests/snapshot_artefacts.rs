@@ -1,10 +1,12 @@
 //! Snapshot tests: the committed `results/` artefacts must be exactly
 //! reproducible from the current code.
 //!
-//! The full-scale tests are `#[ignore]`d because they take minutes in a
-//! debug build; CI's perf-smoke job (and `cargo test --release -p
-//! wsu-experiments -- --ignored`) runs them at release speed. A quick
-//! reduced-scale determinism check runs unconditionally.
+//! The full-scale Bayes and campaign tests are `#[ignore]`d because they
+//! take minutes in a debug build; CI's perf-smoke job (and `cargo test
+//! --release -p wsu-experiments -- --ignored`) runs them at release
+//! speed. Tables 5 and 6 (all four variants) take seconds even in a
+//! debug build, so they run unconditionally at paper scale, as do the
+//! quick reduced-scale determinism checks.
 
 use std::path::PathBuf;
 
@@ -12,9 +14,13 @@ use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::bayes_study::StudyConfig;
 use wsu_experiments::campaign::{run_campaign_jobs, standard_plans, CampaignConfig};
 use wsu_experiments::midsim::ObsSinks;
-use wsu_experiments::{figures, table2, DEFAULT_SEED};
+use wsu_experiments::table5::SimulationTable;
+use wsu_experiments::{
+    figures, table2, table5, table6, DEFAULT_SEED, PAPER_REQUESTS, PAPER_TIMEOUTS,
+};
 use wsu_simcore::par::Jobs;
 use wsu_simcore::rng::MasterSeed;
+use wsu_workload::timing::ExecTimeModel;
 
 fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -140,4 +146,62 @@ fn quick_table2_is_deterministic() {
     let first = table2::run_table2_with(DEFAULT_SEED, &config, &config).render();
     let second = table2::run_table2_with(DEFAULT_SEED, &config, &config).render();
     assert_eq!(first, second, "quick Table 2 run is not deterministic");
+}
+
+/// The signature shared by `run_table5_jobs` and `run_table6_jobs`.
+type SimulationRunner =
+    fn(MasterSeed, u64, &[f64], ExecTimeModel, &ObsSinks, Jobs) -> SimulationTable;
+
+/// Regenerates one Table 5/6 variant exactly as `all` does (paper
+/// requests and timeouts, default seed) and compares it with the
+/// committed `results/{file}` byte for byte.
+fn assert_simulation_golden(file: &str, run: SimulationRunner, timing: ExecTimeModel) {
+    let golden = std::fs::read_to_string(results_dir().join(file))
+        .unwrap_or_else(|e| panic!("committed results/{file}: {e}"));
+    let rendered = run(
+        DEFAULT_SEED,
+        PAPER_REQUESTS,
+        &PAPER_TIMEOUTS,
+        timing,
+        &ObsSinks::default(),
+        Jobs::new(2),
+    )
+    .render();
+    assert_eq!(rendered, golden, "results/{file} drifted");
+}
+
+#[test]
+fn table5_artefact_is_reproducible() {
+    assert_simulation_golden(
+        "table5.txt",
+        table5::run_table5_jobs,
+        ExecTimeModel::paper(),
+    );
+}
+
+#[test]
+fn table6_artefact_is_reproducible() {
+    assert_simulation_golden(
+        "table6.txt",
+        table6::run_table6_jobs,
+        ExecTimeModel::paper(),
+    );
+}
+
+#[test]
+fn table5_calibrated_artefact_is_reproducible() {
+    assert_simulation_golden(
+        "table5_calibrated.txt",
+        table5::run_table5_jobs,
+        ExecTimeModel::calibrated(),
+    );
+}
+
+#[test]
+fn table6_calibrated_artefact_is_reproducible() {
+    assert_simulation_golden(
+        "table6_calibrated.txt",
+        table6::run_table6_jobs,
+        ExecTimeModel::calibrated(),
+    );
 }

@@ -1,26 +1,24 @@
-//! Demand streams: requests plus per-release planned responses.
+//! Demand streams: per-release planned responses.
 //!
-//! The middleware simulation needs, for each demand, a request envelope
-//! and the jointly sampled behaviour of both releases: outcome classes
-//! (from an [`OutcomePairGen`]) and execution times (from an
-//! [`ExecTimeModel`]). [`DemandPlanner`] bundles the two; the experiment
-//! harness feeds each half of the plan into a scripted endpoint or
-//! directly into the middleware.
+//! The middleware simulation needs, for each demand, the jointly
+//! sampled behaviour of both releases: outcome classes (from an
+//! [`OutcomePairGen`]) and execution times (from an [`ExecTimeModel`]).
+//! [`DemandPlanner`] bundles the two; the experiment harness feeds each
+//! half of the plan into a scripted endpoint or directly into the
+//! middleware. Planning a demand draws from the RNG and touches no
+//! heap, so a whole run's plan costs one `Vec` of plain values.
 
 use wsu_simcore::rng::StreamRng;
 use wsu_wstack::endpoint::PlannedResponse;
-use wsu_wstack::message::Envelope;
 
 use crate::outcomes::OutcomePairGen;
 use crate::timing::ExecTimeModel;
 
 /// One fully planned demand.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannedDemand {
     /// Sequence number, from 0.
     pub seq: u64,
-    /// The consumer's request.
-    pub request: Envelope,
     /// Release 1's planned behaviour.
     pub rel1: PlannedResponse,
     /// Release 2's planned behaviour.
@@ -31,21 +29,16 @@ pub struct PlannedDemand {
 pub struct DemandPlanner<'a> {
     outcomes: &'a dyn OutcomePairGen,
     timing: ExecTimeModel,
-    operation: String,
     next_seq: u64,
 }
 
 impl<'a> DemandPlanner<'a> {
-    /// Creates a planner issuing requests against `operation`.
-    pub fn new(
-        outcomes: &'a dyn OutcomePairGen,
-        timing: ExecTimeModel,
-        operation: impl Into<String>,
-    ) -> DemandPlanner<'a> {
+    /// Creates a planner drawing outcomes from `outcomes` and execution
+    /// times from `timing`.
+    pub fn new(outcomes: &'a dyn OutcomePairGen, timing: ExecTimeModel) -> DemandPlanner<'a> {
         DemandPlanner {
             outcomes,
             timing,
-            operation: operation.into(),
             next_seq: 0,
         }
     }
@@ -58,7 +51,6 @@ impl<'a> DemandPlanner<'a> {
         let (t1, t2) = self.timing.sample_pair(rng);
         PlannedDemand {
             seq,
-            request: Envelope::request(self.operation.clone()).with_part("seq", seq as i64),
             rel1: PlannedResponse {
                 class: class1,
                 exec_time: t1,
@@ -86,7 +78,6 @@ impl std::fmt::Debug for DemandPlanner<'_> {
         f.debug_struct("DemandPlanner")
             .field("outcomes", &self.outcomes.label())
             .field("timing", &self.timing)
-            .field("operation", &self.operation)
             .field("planned", &self.next_seq)
             .finish()
     }
@@ -97,29 +88,30 @@ mod tests {
     use super::*;
     use crate::outcomes::CorrelatedOutcomes;
     use crate::runs::RunSpec;
-    use wsu_wstack::message::Value;
     use wsu_wstack::outcome::ResponseClass;
 
     #[test]
     fn plans_are_sequenced_and_tagged() {
         let run = RunSpec::run1();
         let outcomes = CorrelatedOutcomes::from_run(&run);
-        let mut planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper(), "invoke");
+        let mut planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper());
         let mut rng = StreamRng::from_seed(1);
         let d0 = planner.plan(&mut rng);
         let d1 = planner.plan(&mut rng);
         assert_eq!(d0.seq, 0);
         assert_eq!(d1.seq, 1);
-        assert_eq!(d0.request.operation(), "invoke");
-        assert_eq!(d0.request.part("seq").and_then(Value::as_int), Some(0));
         assert_eq!(planner.planned(), 2);
+        // A demand is its sequence number plus the stream's draws:
+        // replanning from the same stream reproduces it exactly.
+        let mut again = DemandPlanner::new(&outcomes, ExecTimeModel::paper());
+        assert_eq!(again.plan(&mut StreamRng::from_seed(1)), d0);
     }
 
     #[test]
     fn batch_planning() {
         let run = RunSpec::run1();
         let outcomes = CorrelatedOutcomes::from_run(&run);
-        let mut planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper(), "invoke");
+        let mut planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper());
         let mut rng = StreamRng::from_seed(2);
         let batch = planner.plan_batch(100, &mut rng);
         assert_eq!(batch.len(), 100);
@@ -130,7 +122,7 @@ mod tests {
     fn planned_outcomes_follow_generator() {
         let run = RunSpec::run1();
         let outcomes = CorrelatedOutcomes::from_run(&run);
-        let mut planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper(), "invoke");
+        let mut planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper());
         let mut rng = StreamRng::from_seed(3);
         let n = 50_000;
         let batch = planner.plan_batch(n, &mut rng);
@@ -151,7 +143,7 @@ mod tests {
     fn exec_times_are_positive_and_distinct() {
         let run = RunSpec::run1();
         let outcomes = CorrelatedOutcomes::from_run(&run);
-        let mut planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper(), "invoke");
+        let mut planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper());
         let mut rng = StreamRng::from_seed(4);
         let d = planner.plan(&mut rng);
         assert!(d.rel1.exec_time.as_secs() > 0.0);
@@ -163,7 +155,7 @@ mod tests {
     fn debug_format_mentions_label() {
         let run = RunSpec::run1();
         let outcomes = CorrelatedOutcomes::from_run(&run);
-        let planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper(), "invoke");
+        let planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper());
         assert!(format!("{planner:?}").contains("correlated"));
     }
 }
