@@ -269,11 +269,6 @@ impl GridPosterior {
     pub fn percentile(&self, c: f64) -> f64 {
         percentile_of(&self.edges, &self.masses, c)
     }
-
-    /// A borrowed view of this posterior, for query-shape-generic code.
-    pub fn as_view(&self) -> MarginalView<'_> {
-        MarginalView::new(&self.edges, &self.masses)
-    }
 }
 
 impl PosteriorQueries for GridPosterior {

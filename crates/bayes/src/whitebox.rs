@@ -128,17 +128,6 @@ impl Default for Resolution {
     }
 }
 
-impl Resolution {
-    /// The default adaptive coarse-to-fine configuration: a 32×32×16
-    /// coarse pass over the full prior support locates the posterior's
-    /// high-mass region, and a fine grid at the default fixed resolution
-    /// is spent only there. See [`crate::adaptive`] for the accuracy
-    /// contract.
-    pub fn adaptive() -> crate::adaptive::AdaptiveResolution {
-        crate::adaptive::AdaptiveResolution::default()
-    }
-}
-
 /// The precomputed grid tables — prior masses, per-cell event
 /// log-probabilities, `p_AB` values and axis edges. Shared via [`Arc`]
 /// between the engine, every posterior it produces and any incremental
@@ -278,10 +267,8 @@ impl WhiteBoxInference {
     }
 
     /// Creates an engine whose grid covers only the given axis windows
-    /// instead of the priors' full supports. This is the fine stage of
-    /// the adaptive coarse-to-fine mode ([`crate::adaptive`]): spending
-    /// the whole grid budget on the posterior's high-mass region. Prior
-    /// mass outside the windows is simply not represented — queries
+    /// instead of the priors' full supports, spending the whole grid
+    /// budget on a chosen region. Prior mass outside the windows is simply not represented — queries
     /// against the resulting posteriors treat it as zero — so windows
     /// must cover essentially all posterior mass for accurate answers.
     ///

@@ -7,9 +7,10 @@
 use std::hint::black_box;
 use wsu_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wsu_core::middleware::MiddlewareConfig;
-use wsu_experiments::midsim::{plan_run, simulate_cell, simulate_run};
-use wsu_experiments::table5::run_table5_with;
+use wsu_experiments::midsim::{plan_run, simulate_cell, simulate_run, ObsSinks};
+use wsu_experiments::table5::run_table5_jobs;
 use wsu_experiments::{DEFAULT_SEED, PAPER_REQUESTS, PAPER_TIMEOUTS};
+use wsu_simcore::par::Jobs;
 use wsu_workload::outcomes::CorrelatedOutcomes;
 use wsu_workload::runs::RunSpec;
 use wsu_workload::timing::ExecTimeModel;
@@ -34,11 +35,13 @@ fn table5(c: &mut Criterion) {
     }
     group.bench_function("full_table_2k", |b| {
         b.iter(|| {
-            black_box(run_table5_with(
+            black_box(run_table5_jobs(
                 DEFAULT_SEED,
                 2_000,
                 &PAPER_TIMEOUTS,
                 ExecTimeModel::paper(),
+                &ObsSinks::default(),
+                Jobs::new(1),
             ))
         });
     });

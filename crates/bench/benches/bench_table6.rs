@@ -2,9 +2,10 @@
 
 use std::hint::black_box;
 use wsu_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wsu_experiments::midsim::simulate_run;
-use wsu_experiments::table6::run_table6_with;
+use wsu_experiments::midsim::{simulate_run, ObsSinks};
+use wsu_experiments::table6::run_table6_jobs;
 use wsu_experiments::{DEFAULT_SEED, PAPER_TIMEOUTS};
+use wsu_simcore::par::Jobs;
 use wsu_workload::outcomes::IndependentOutcomes;
 use wsu_workload::runs::RunSpec;
 use wsu_workload::timing::ExecTimeModel;
@@ -29,11 +30,13 @@ fn table6(c: &mut Criterion) {
     }
     group.bench_function("full_table_2k", |b| {
         b.iter(|| {
-            black_box(run_table6_with(
+            black_box(run_table6_jobs(
                 DEFAULT_SEED,
                 2_000,
                 &PAPER_TIMEOUTS,
                 ExecTimeModel::paper(),
+                &ObsSinks::default(),
+                Jobs::new(1),
             ))
         });
     });

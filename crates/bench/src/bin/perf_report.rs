@@ -131,14 +131,18 @@ fn main() -> std::io::Result<()> {
         &format!("experiments/ablations_coverage/{scale}"),
         samples,
         || {
-            std::hint::black_box(ablation::run_coverage_ablation(&study1, &[0.0, 0.10, 0.25]));
+            std::hint::black_box(ablation::run_coverage_ablation_jobs(
+                &study1,
+                &[0.0, 0.10, 0.25],
+                Jobs::new(1),
+            ));
         },
     ));
     entries.push(time_runs(
         &format!("experiments/ablations_prior/{scale}"),
         samples,
         || {
-            std::hint::black_box(ablation::run_prior_ablation(&study1));
+            std::hint::black_box(ablation::run_prior_ablation_jobs(&study1, Jobs::new(1)));
         },
     ));
     let campaign_config = if full {

@@ -215,11 +215,6 @@ impl Criterion {
         self.results.push((name.to_string(), median, min, max));
     }
 
-    /// Median timings collected so far, as `(name, median)` pairs.
-    pub fn medians(&self) -> impl Iterator<Item = (&str, Duration)> {
-        self.results.iter().map(|(n, med, _, _)| (n.as_str(), *med))
-    }
-
     /// Full results collected so far, as `(name, median, min, max)`.
     pub fn results(&self) -> impl Iterator<Item = (&str, Duration, Duration, Duration)> {
         self.results
@@ -410,8 +405,8 @@ mod tests {
             .sample_size(5)
             .bench_function("noop", |b| b.iter(|| 1 + 1))
             .finish();
-        assert_eq!(c.medians().count(), 1);
-        let (name, median) = c.medians().next().unwrap();
+        assert_eq!(c.results().count(), 1);
+        let (name, median, _, _) = c.results().next().unwrap();
         assert_eq!(name, "g/noop");
         assert!(median < Duration::from_millis(100));
     }

@@ -85,11 +85,6 @@ impl CompositeService {
         &self.name
     }
 
-    /// Number of component dependencies.
-    pub fn component_count(&self) -> usize {
-        self.components.len()
-    }
-
     /// Component names in invocation order.
     pub fn component_names(&self) -> Vec<&str> {
         self.components.iter().map(|c| c.name.as_str()).collect()
@@ -343,7 +338,7 @@ mod tests {
         assert_eq!(inv.class, ResponseClass::Correct);
         assert!((inv.exec_time.as_secs() - 0.55).abs() < 1e-12);
         assert_eq!(inv.components.len(), 2);
-        assert_eq!(composite.component_count(), 2);
+        assert_eq!(composite.component_names().len(), 2);
         assert_eq!(composite.component_names(), vec!["flights", "hotels"]);
         assert_eq!(composite.name(), "Travel");
     }
@@ -460,7 +455,7 @@ mod tests {
         let mut endpoint = CompositeEndpoint::new(composite, "sub-1");
         assert_eq!(endpoint.describe().service(), "Travel");
         assert_eq!(endpoint.describe().release(), "sub-1");
-        assert_eq!(endpoint.composite().component_count(), 2);
+        assert_eq!(endpoint.composite().component_names().len(), 2);
         let mut rng = StreamRng::from_seed(6);
         let inv = endpoint.invoke(&Envelope::request("book"), &mut rng);
         assert_eq!(inv.class, ResponseClass::Correct);

@@ -45,7 +45,6 @@ pub struct ReleaseStats {
     counts: CountTable,
     nrdt: u64,
     exec_all: Summary,
-    exec_within: Summary,
     exec_sketch: QuantileSketch,
 }
 
@@ -55,7 +54,6 @@ impl ReleaseStats {
             counts: CountTable::new(&["CR", "ER", "NER"]),
             nrdt: 0,
             exec_all: Summary::new(),
-            exec_within: Summary::new(),
             exec_sketch: QuantileSketch::default(),
         }
     }
@@ -80,16 +78,6 @@ impl ReleaseStats {
     /// of the timeout).
     pub fn mean_exec_time(&self) -> f64 {
         self.exec_all.mean()
-    }
-
-    /// Execution-time statistics over all responses.
-    pub fn exec_summary(&self) -> &Summary {
-        &self.exec_all
-    }
-
-    /// Execution-time statistics over responses within the timeout.
-    pub fn exec_within_summary(&self) -> &Summary {
-        &self.exec_within
     }
 
     /// Tail-latency quantile sketch over all execution times (p50/p90/
@@ -156,11 +144,6 @@ impl SystemStats {
     /// (the consumer waits out the timeout to learn of the failure).
     pub fn mean_response_time(&self) -> f64 {
         self.response_time.mean()
-    }
-
-    /// Response-time statistics.
-    pub fn response_time_summary(&self) -> &Summary {
-        &self.response_time
     }
 
     /// Availability of the composite service.
@@ -350,7 +333,6 @@ impl MonitoringSubsystem {
             stats.exec_sketch.observe(obs.exec_time.as_secs());
             if obs.within_timeout {
                 stats.counts.bump(obs.class.index());
-                stats.exec_within.record(obs.exec_time.as_secs());
             } else {
                 stats.nrdt += 1;
             }
@@ -656,7 +638,6 @@ mod tests {
         assert!((b.failure_rate() - 1.0).abs() < 1e-12);
         // MET over all responses includes the late one.
         assert!((b.mean_exec_time() - 1.85).abs() < 1e-12);
-        assert!(b.exec_within_summary().count() == 1);
         assert_eq!(mon.demands(), 2);
     }
 
@@ -690,7 +671,6 @@ mod tests {
         assert_eq!(sys.total_responses(), 1);
         assert!((sys.mean_response_time() - 1.2).abs() < 1e-12);
         assert_eq!(sys.availability(), 0.5);
-        assert_eq!(sys.response_time_summary().count(), 2);
     }
 
     #[test]

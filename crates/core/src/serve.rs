@@ -331,11 +331,6 @@ impl DemandWorker {
         self.middleware.demands()
     }
 
-    /// This worker's index within the fleet.
-    pub fn worker_index(&self) -> u64 {
-        self.worker
-    }
-
     /// The worker's virtual clock (sum of served response times).
     pub fn virtual_time(&self) -> f64 {
         self.clock
@@ -413,7 +408,6 @@ mod tests {
         let second = worker.demand().expect("demand");
         assert_eq!(first.t, 0.0);
         assert!((second.t - first.response_time).abs() < 1e-12);
-        assert_eq!(worker.worker_index(), 3);
     }
 
     #[test]

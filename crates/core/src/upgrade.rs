@@ -27,9 +27,6 @@ use wsu_wstack::message::Envelope;
 use wsu_wstack::registry::PublishedConfidence;
 
 use crate::error::CoreError;
-#[allow(deprecated)]
-use crate::log::EventLog;
-use crate::log::LogLevel;
 use crate::manage::{
     Assessment, ManagementSubsystem, RecoveryAction, SwitchCriterion, SwitchDecision,
 };
@@ -91,8 +88,6 @@ pub struct UpgradeConfig {
     pub assess_interval: u64,
     /// How many recent demand records the monitor retains.
     pub recent_capacity: usize,
-    /// How many log entries are retained.
-    pub log_capacity: usize,
     /// The operation invoked on the releases.
     pub operation: String,
     /// Whether the orchestrator switches automatically when the
@@ -119,7 +114,6 @@ impl Default for UpgradeConfig {
             resolution: Resolution::default(),
             assess_interval: 500,
             recent_capacity: 128,
-            log_capacity: 256,
             operation: "invoke".to_owned(),
             auto_switch: true,
             abort: None,
@@ -150,12 +144,6 @@ impl UpgradeConfig {
     /// Sets the failure detector.
     pub fn with_detector(mut self, detector: DetectorKind) -> UpgradeConfig {
         self.detector = detector;
-        self
-    }
-
-    /// Sets the coincidence prior.
-    pub fn with_coincidence(mut self, coincidence: CoincidencePrior) -> UpgradeConfig {
-        self.coincidence = coincidence;
         self
     }
 
@@ -233,12 +221,10 @@ pub struct ConfidenceReport {
 }
 
 /// The managed upgrade of one component WS from an old to a new release.
-#[allow(deprecated)]
 pub struct ManagedUpgrade {
     middleware: UpgradeMiddleware,
     monitor: MonitoringSubsystem,
     manager: ManagementSubsystem,
-    log: EventLog,
     phase: UpgradePhase,
     old: ReleaseId,
     new: ReleaseId,
@@ -261,7 +247,6 @@ pub struct ManagedUpgrade {
     span_profile: SpanProfile,
 }
 
-#[allow(deprecated)]
 impl ManagedUpgrade {
     /// Deploys `old` and `new` behind the middleware and starts the
     /// managed upgrade in the transitional phase.
@@ -290,21 +275,10 @@ impl ManagedUpgrade {
             config.criterion,
             config.resolution,
         );
-        let mut log = EventLog::new(config.log_capacity);
-        log.push(
-            0,
-            LogLevel::Info,
-            format!(
-                "managed upgrade started: criterion {}, detector {:?}",
-                config.criterion.label(),
-                config.detector
-            ),
-        );
         ManagedUpgrade {
             middleware,
             monitor,
             manager,
-            log,
             phase: UpgradePhase::Transitional,
             old: old_id,
             new: new_id,
@@ -356,13 +330,6 @@ impl ManagedUpgrade {
             .apply_recovery(self.middleware.releases_mut())
             .expect("recovery over known releases");
         for action in actions {
-            let demand = self.middleware.demands();
-            self.log.push_at(
-                self.virtual_time,
-                demand,
-                LogLevel::Warning,
-                format!("recovery action: {action:?}"),
-            );
             if self.recorder.enabled() {
                 let (release, act) = match action {
                     RecoveryAction::Suspended(id) => (id.index(), "suspended"),
@@ -370,7 +337,7 @@ impl ManagedUpgrade {
                 };
                 self.recorder.record(TraceEvent::ReleaseSuspended {
                     t: self.virtual_time,
-                    demand,
+                    demand: self.middleware.demands(),
                     release,
                     action: act.to_string(),
                 });
@@ -471,12 +438,6 @@ impl ManagedUpgrade {
             .phase_out(self.old)
             .expect("old release can be phased out once");
         self.phase = UpgradePhase::Switched { at_demand };
-        self.log.push_at(
-            self.virtual_time,
-            at_demand,
-            LogLevel::Decision,
-            format!("switched to new release after {at_demand} demands"),
-        );
         self.manager.count_decision("switch");
         if self.recorder.enabled() {
             self.recorder.record(TraceEvent::SwitchDecision {
@@ -505,12 +466,6 @@ impl ManagedUpgrade {
             .phase_out(self.new)
             .expect("new release can be phased out once");
         self.phase = UpgradePhase::Aborted { at_demand };
-        self.log.push_at(
-            self.virtual_time,
-            at_demand,
-            LogLevel::Decision,
-            format!("upgrade aborted after {at_demand} demands: new release judged worse"),
-        );
         self.manager.count_decision("abort");
         if self.recorder.enabled() {
             self.recorder.record(TraceEvent::SwitchDecision {
@@ -563,19 +518,14 @@ impl ManagedUpgrade {
         &mut self.manager
     }
 
-    /// The middleware (e.g. for mode changes).
+    /// The middleware.
     pub fn middleware(&self) -> &UpgradeMiddleware {
         &self.middleware
     }
 
-    /// Mutable access to the middleware.
+    /// Mutable access to the middleware (e.g. for mode changes).
     pub fn middleware_mut(&mut self) -> &mut UpgradeMiddleware {
         &mut self.middleware
-    }
-
-    /// The event log.
-    pub fn log(&self) -> &EventLog {
-        &self.log
     }
 
     /// A consumer-facing confidence summary (Section 6.1: "the user can
@@ -644,6 +594,7 @@ impl FailureDetector for BoxedDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wsu_obs::SharedRecorder;
     use wsu_wstack::endpoint::SyntheticService;
     use wsu_wstack::outcome::OutcomeProfile;
 
@@ -671,6 +622,20 @@ mod tests {
         ManagedUpgrade::new(old, new, config, MasterSeed::new(99))
     }
 
+    /// The `(demand, decision)` of every recorded `SwitchDecision`.
+    fn switch_decisions(recorder: &SharedRecorder) -> Vec<(u64, String)> {
+        recorder
+            .snapshot()
+            .into_iter()
+            .filter_map(|event| match event {
+                TraceEvent::SwitchDecision {
+                    demand, decision, ..
+                } => Some((demand, decision)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn switches_when_new_release_is_clean() {
         let config = UpgradeConfig::default()
@@ -684,24 +649,23 @@ mod tests {
             OutcomeProfile::always_correct(),
             config,
         );
+        let recorder = SharedRecorder::new();
+        upgrade.attach_recorder(recorder.clone());
         upgrade.run_demands(2_000);
-        match upgrade.phase() {
-            UpgradePhase::Switched { at_demand } => {
-                assert!(at_demand <= 2_000);
-                assert!(at_demand >= 200);
-            }
-            other => panic!("expected a switch, got {other:?}"),
-        }
+        let UpgradePhase::Switched { at_demand } = upgrade.phase() else {
+            panic!("expected a switch, got {:?}", upgrade.phase());
+        };
+        assert!(at_demand <= 2_000);
+        assert!(at_demand >= 200);
         // Old release was phased out.
         let infos = upgrade.middleware().release_infos();
         assert_eq!(infos[0].state, crate::release::ReleaseState::PhasedOut);
         assert_eq!(infos[1].state, crate::release::ReleaseState::Active);
-        // The decision was logged.
-        assert!(upgrade
-            .log()
-            .entries_at(LogLevel::Decision)
-            .iter()
-            .any(|e| e.message.contains("switched")));
+        // The decision was recorded, once, at the switching demand.
+        assert_eq!(
+            switch_decisions(&recorder),
+            [(at_demand, "switch-to-new".to_string())]
+        );
     }
 
     #[test]
@@ -833,6 +797,8 @@ mod tests {
             OutcomeProfile::new(0.8, 0.1, 0.1),
             config,
         );
+        let recorder = SharedRecorder::new();
+        upgrade.attach_recorder(recorder.clone());
         upgrade.run_demands(3_000);
         let UpgradePhase::Aborted { at_demand } = upgrade.phase() else {
             panic!("expected an abort, got {:?}", upgrade.phase());
@@ -842,12 +808,11 @@ mod tests {
         let record = upgrade.run_demand();
         assert_eq!(record.per_release.len(), 1);
         assert_eq!(record.per_release[0].release, upgrade.old_release());
-        // The decision was logged.
-        assert!(upgrade
-            .log()
-            .entries_at(LogLevel::Decision)
-            .iter()
-            .any(|e| e.message.contains("aborted")));
+        // The decision was recorded, once, at the aborting demand.
+        assert_eq!(
+            switch_decisions(&recorder),
+            [(at_demand, "abort-upgrade".to_string())]
+        );
     }
 
     #[test]

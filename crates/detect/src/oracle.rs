@@ -38,11 +38,6 @@ impl DemandOutcome {
     pub fn is_coincident(self) -> bool {
         self.a_failed && self.b_failed
     }
-
-    /// Returns `true` if at least one release failed.
-    pub fn any_failed(self) -> bool {
-        self.a_failed || self.b_failed
-    }
 }
 
 /// Scores demands, possibly imperfectly.
@@ -241,8 +236,6 @@ mod tests {
     #[test]
     fn outcome_helpers() {
         assert!(DemandOutcome::BOTH_FAILED.is_coincident());
-        assert!(!DemandOutcome::BOTH_OK.any_failed());
-        assert!(DemandOutcome::new(true, false).any_failed());
         assert!(!DemandOutcome::new(true, false).is_coincident());
     }
 

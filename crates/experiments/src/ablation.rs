@@ -6,9 +6,9 @@
 //! * [`run_mode_ablation_jobs`] (A2) — the four operating modes of
 //!   Section 4.2 on one workload: reliability vs response time vs
 //!   back-end load;
-//! * [`run_coverage_ablation`] (A3) — Section 5.1.2's open question: how
+//! * [`run_coverage_ablation_jobs`] (A3) — Section 5.1.2's open question: how
 //!   detection coverage maps to confidence error and switch timing;
-//! * [`run_prior_ablation`] (A4) — sensitivity of the switch timing to
+//! * [`run_prior_ablation_jobs`] (A4) — sensitivity of the switch timing to
 //!   the coincidence prior (indifference vs more optimistic choices).
 
 use wsu_bayes::whitebox::{CoincidencePrior, Resolution};
@@ -17,7 +17,6 @@ use wsu_core::middleware::MiddlewareConfig;
 use wsu_core::modes::{OperatingMode, SequentialOrder};
 use wsu_simcore::par::{par_map, par_map_slice, Jobs};
 use wsu_simcore::rng::MasterSeed;
-use wsu_simcore::time::SimDuration;
 use wsu_workload::outcomes::CorrelatedOutcomes;
 use wsu_workload::runs::RunSpec;
 use wsu_workload::scenario::Scenario;
@@ -126,13 +125,8 @@ pub struct CoverageRow {
     pub bound_held: f64,
 }
 
-/// A3: detection-coverage sweep on Scenario 1.
-pub fn run_coverage_ablation(config: &StudyConfig, p_omits: &[f64]) -> Vec<CoverageRow> {
-    run_coverage_ablation_jobs(config, p_omits, Jobs::serial())
-}
-
-/// [`run_coverage_ablation`] over a worker pool: the perfect-detection
-/// baseline (every row compares against it) and one study per nonzero
+/// A3: detection-coverage sweep on Scenario 1, over a worker pool:
+/// the perfect-detection baseline (every row compares against it) and one study per nonzero
 /// omission probability run as one batch on a shared engine
 /// ([`run_studies`]). Rows come back in `p_omits` order, so the output
 /// is identical for any `jobs`.
@@ -180,13 +174,7 @@ pub struct PriorRow {
 }
 
 /// A4: coincidence-prior sensitivity on Scenario 1 with perfect
-/// detection.
-pub fn run_prior_ablation(config: &StudyConfig) -> Vec<PriorRow> {
-    run_prior_ablation_jobs(config, Jobs::serial())
-}
-
-/// [`run_prior_ablation`] over a worker pool: one replication per prior
-/// variant. Rows come back in variant order, so the output is identical
+/// detection, over a worker pool: one replication per prior variant. Rows come back in variant order, so the output is identical
 /// for any `jobs`.
 pub fn run_prior_ablation_jobs(config: &StudyConfig, jobs: Jobs) -> Vec<PriorRow> {
     let variants: [(&str, CoincidencePrior); 4] = [
@@ -290,10 +278,6 @@ pub fn render_prior_table(rows: &[PriorRow]) -> String {
     table.render()
 }
 
-/// A convenience duration used by the mode ablation tests: the paper's
-/// `dT`.
-pub const ADJUDICATION_DELAY: SimDuration = SimDuration::ZERO;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,7 +337,7 @@ mod tests {
 
     #[test]
     fn coverage_ablation_monotone_bias() {
-        let rows = run_coverage_ablation(&quick_study(), &[0.0, 0.5]);
+        let rows = run_coverage_ablation_jobs(&quick_study(), &[0.0, 0.5], Jobs::new(1));
         assert_eq!(rows.len(), 2);
         // With perfect detection the bound holds trivially.
         assert!((rows[0].bound_held - 1.0).abs() < 1e-12);
@@ -419,7 +403,7 @@ mod tests {
 
     #[test]
     fn prior_ablation_runs_all_variants() {
-        let rows = run_prior_ablation(&quick_study());
+        let rows = run_prior_ablation_jobs(&quick_study(), Jobs::new(1));
         assert_eq!(rows.len(), 4);
         let text = render_prior_table(&rows);
         assert!(text.contains("indifference"));

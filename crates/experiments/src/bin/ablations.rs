@@ -1,10 +1,11 @@
 //! Runs the four ablation studies (A1–A4 in DESIGN.md).
 //!
-//! Usage: `ablations [--quick] [--jobs N] [--trace PATH] [--metrics PATH]`
-//! plus the shared observability flags `--serve-metrics PORT`,
-//! `--serve-hold SECS` and `--phase-metrics` — with tracing on, each
-//! ablation becomes a log line in the trace, and `--phase-metrics`
-//! turns each into a timed `wsu_phase_seconds` gauge in the snapshot.
+//! Usage: `ablations [--quick] [--jobs N] [--trace PATH] [--metrics PATH]
+//! [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]` —
+//! with tracing on, each ablation becomes a log line in the trace, and
+//! `--phase-metrics` turns each into a timed `wsu_phase_seconds` gauge
+//! in the snapshot. Any other argument, or a malformed value, is a
+//! usage error (exit status 2).
 
 use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::ablation::{
@@ -14,12 +15,14 @@ use wsu_experiments::ablation::{
     run_mode_ablation_jobs, run_prior_ablation_jobs,
 };
 use wsu_experiments::bayes_study::StudyConfig;
-use wsu_experiments::obs::{jobs_from_env, ObsOptions};
+use wsu_experiments::obs::{check_flags_from_env, jobs_from_env, ObsOptions};
 use wsu_experiments::DEFAULT_SEED;
 
-const USAGE: &str = "ablations [--quick] [--jobs N] [--trace PATH] [--metrics PATH]";
+const USAGE: &str = "ablations [--quick] [--jobs N] [--trace PATH] [--metrics PATH] \
+                     [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]";
 
 fn main() {
+    check_flags_from_env(USAGE, &[("--quick", false)]);
     let quick = std::env::args().any(|a| a == "--quick");
     let jobs = jobs_from_env(USAGE);
     let mut ctx = ObsOptions::from_env(USAGE).context();

@@ -1,12 +1,13 @@
 //! Runs every experiment and writes the outputs under `results/`.
 //!
 //! Usage: `all [--quick] [--out DIR] [--jobs N] [--trace PATH]
-//! [--metrics PATH]` plus the shared observability flags
-//! `--serve-metrics PORT`, `--serve-hold SECS` and `--phase-metrics` —
-//! `--jobs` sizes the worker pool every step fans its independent runs
+//! [--metrics PATH] [--serve-metrics PORT] [--serve-hold SECS]
+//! [--phase-metrics]` — `--jobs` sizes the worker pool every step fans its independent runs
 //! over (the white-box Bayes studies of Table 2, its spread and
 //! Figs. 7–8; the replications of Tables 5–6, the ablations, the fault
 //! campaign and the capacity study) without changing any output byte.
+//! Any other argument, or a malformed value, is a usage error (exit
+//! status 2).
 
 use std::fs;
 use std::path::PathBuf;
@@ -14,16 +15,18 @@ use std::path::PathBuf;
 use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::bayes_study::StudyConfig;
 use wsu_experiments::midsim::ObsSinks;
-use wsu_experiments::obs::{exit_usage, jobs_from_args, ObsOptions};
+use wsu_experiments::obs::{check_flags_from_env, exit_usage, jobs_from_args, ObsOptions};
 use wsu_experiments::{
     ablation, campaign, capacity, figures, table2, table5, table6, DEFAULT_SEED, PAPER_TIMEOUTS,
 };
 use wsu_simcore::rng::MasterSeed;
 use wsu_workload::timing::ExecTimeModel;
 
-const USAGE: &str = "all [--quick] [--out DIR] [--jobs N] [--trace PATH] [--metrics PATH]";
+const USAGE: &str = "all [--quick] [--out DIR] [--jobs N] [--trace PATH] [--metrics PATH] \
+                     [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]";
 
 fn main() -> std::io::Result<()> {
+    check_flags_from_env(USAGE, &[("--quick", false), ("--out", true)]);
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));

@@ -1,20 +1,23 @@
 //! Runs the server-capacity study (extension E6): parallel vs
 //! sequential dispatch under open Poisson arrivals.
 //!
-//! Usage: `capacity [--quick] [--jobs N] [--trace PATH] [--metrics PATH]`
-//! plus the shared observability flags `--serve-metrics PORT`,
-//! `--serve-hold SECS` and `--phase-metrics`.
+//! Usage: `capacity [--quick] [--jobs N] [--trace PATH] [--metrics PATH]
+//! [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]`. Any
+//! other argument, or a malformed value, is a usage error (exit
+//! status 2).
 
 use wsu_experiments::capacity::{render_capacity_table, run_capacity_study_jobs};
-use wsu_experiments::obs::{jobs_from_env, ObsOptions};
+use wsu_experiments::obs::{check_flags_from_env, jobs_from_env, ObsOptions};
 use wsu_experiments::DEFAULT_SEED;
 use wsu_workload::outcomes::CorrelatedOutcomes;
 use wsu_workload::runs::RunSpec;
 use wsu_workload::timing::ExecTimeModel;
 
-const USAGE: &str = "capacity [--quick] [--jobs N] [--trace PATH] [--metrics PATH]";
+const USAGE: &str = "capacity [--quick] [--jobs N] [--trace PATH] [--metrics PATH] \
+                     [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]";
 
 fn main() {
+    check_flags_from_env(USAGE, &[("--quick", false)]);
     let quick = std::env::args().any(|a| a == "--quick");
     let jobs = jobs_from_env(USAGE);
     let mut ctx = ObsOptions::from_env(USAGE).context();

@@ -12,23 +12,27 @@
 //! `--serve-metrics` serves the snapshot on `/metrics` and the
 //! per-plan dependability snapshots on `/snapshot`;
 //! `--phase-metrics` adds the wall-clock `wsu_phase_seconds` gauges.
+//! Any other argument, a malformed value or an unknown plan name is a
+//! usage error (exit status 2).
 
 use wsu_experiments::campaign::{run_campaign_jobs, standard_plans, CampaignConfig};
-use wsu_experiments::obs::{jobs_from_env, ObsOptions};
+use wsu_experiments::obs::{
+    check_flags_from_env, exit_usage, jobs_from_env, select_named, ObsOptions,
+};
 use wsu_experiments::DEFAULT_SEED;
 
-const USAGE: &str =
-    "faultcampaign [--quick] [--plan NAME] [--jobs N] [--trace PATH] [--metrics PATH]";
+const USAGE: &str = "faultcampaign [--quick] [--plan NAME] [--jobs N] [--trace PATH] \
+                     [--metrics PATH] [--serve-metrics PORT] [--serve-hold SECS] \
+                     [--phase-metrics]";
 
 fn main() {
+    check_flags_from_env(USAGE, &[("--quick", false), ("--plan", true)]);
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let wanted: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--plan")
-        .filter_map(|(i, _)| args.get(i + 1))
-        .collect();
+    let specs = select_named(&args, "--plan", standard_plans(), |spec| {
+        &spec.scenario.name
+    })
+    .unwrap_or_else(|e| exit_usage(USAGE, &e));
     let jobs = jobs_from_env(USAGE);
     let mut ctx = ObsOptions::from_env(USAGE).context();
     let config = if quick {
@@ -36,21 +40,6 @@ fn main() {
     } else {
         CampaignConfig::paper()
     };
-    let mut specs = standard_plans();
-    if !wanted.is_empty() {
-        specs.retain(|spec| wanted.iter().any(|w| **w == spec.scenario.name));
-        if specs.is_empty() {
-            eprintln!(
-                "no plan matched; available: {}",
-                standard_plans()
-                    .iter()
-                    .map(|s| s.scenario.name.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            std::process::exit(2);
-        }
-    }
     let sinks = ctx.sinks();
     let table = ctx.time("faultcampaign/simulate", || {
         run_campaign_jobs(&specs, &config, DEFAULT_SEED, &sinks, jobs)

@@ -1,20 +1,23 @@
 //! Regenerates Fig. 7 (Scenario 1 percentile curves) as a TSV table.
 //!
-//! Usage: `fig7 [--quick] [--jobs N] [--trace PATH] [--metrics PATH]`
-//! plus the shared observability flags `--serve-metrics PORT`,
-//! `--serve-hold SECS` and `--phase-metrics` — `--jobs N` sizes the
-//! worker pool the figure's studies fan out over (default: one per
-//! hardware thread) without changing any output.
+//! Usage: `fig7 [--quick] [--jobs N] [--trace PATH] [--metrics PATH]
+//! [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]` —
+//! `--jobs N` sizes the worker pool the figure's studies fan out over
+//! (default: one per hardware thread) without changing any output.
+//! Any other argument, or a malformed value, is a usage error (exit
+//! status 2).
 
 use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::bayes_study::StudyConfig;
 use wsu_experiments::figures::{run_figure, Figure};
-use wsu_experiments::obs::{jobs_from_env, ObsOptions};
+use wsu_experiments::obs::{check_flags_from_env, jobs_from_env, ObsOptions};
 use wsu_experiments::DEFAULT_SEED;
 
-const USAGE: &str = "fig7 [--quick] [--jobs N] [--trace PATH] [--metrics PATH]";
+const USAGE: &str = "fig7 [--quick] [--jobs N] [--trace PATH] [--metrics PATH] \
+                     [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]";
 
 fn main() {
+    check_flags_from_env(USAGE, &[("--quick", false)]);
     let quick = std::env::args().any(|a| a == "--quick");
     let jobs = jobs_from_env(USAGE);
     let mut ctx = ObsOptions::from_env(USAGE).context();

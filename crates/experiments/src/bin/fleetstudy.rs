@@ -10,23 +10,26 @@
 //! a metrics snapshot without changing the table on stdout;
 //! `--serve-metrics` serves the snapshot on `/metrics` and the
 //! per-cell results on `/snapshot`; `--phase-metrics` adds the
-//! wall-clock `wsu_phase_seconds` gauges.
+//! wall-clock `wsu_phase_seconds` gauges. Any other argument, a
+//! malformed value or an unknown cell name is a usage error (exit
+//! status 2).
 
 use wsu_experiments::fleetstudy::{run_fleetstudy_jobs, standard_cells, FleetStudyConfig};
-use wsu_experiments::obs::{jobs_from_env, ObsOptions};
+use wsu_experiments::obs::{
+    check_flags_from_env, exit_usage, jobs_from_env, select_named, ObsOptions,
+};
 use wsu_experiments::DEFAULT_SEED;
 
-const USAGE: &str = "fleetstudy [--quick] [--cell NAME] [--jobs N] [--trace PATH] [--metrics PATH]";
+const USAGE: &str = "fleetstudy [--quick] [--cell NAME] [--jobs N] [--trace PATH] \
+                     [--metrics PATH] [--serve-metrics PORT] [--serve-hold SECS] \
+                     [--phase-metrics]";
 
 fn main() {
+    check_flags_from_env(USAGE, &[("--quick", false), ("--cell", true)]);
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let wanted: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--cell")
-        .filter_map(|(i, _)| args.get(i + 1))
-        .collect();
+    let cells = select_named(&args, "--cell", standard_cells(), |cell| &cell.name)
+        .unwrap_or_else(|e| exit_usage(USAGE, &e));
     let jobs = jobs_from_env(USAGE);
     let mut ctx = ObsOptions::from_env(USAGE).context();
     let config = if quick {
@@ -34,21 +37,6 @@ fn main() {
     } else {
         FleetStudyConfig::paper()
     };
-    let mut cells = standard_cells();
-    if !wanted.is_empty() {
-        cells.retain(|cell| wanted.iter().any(|w| **w == cell.name));
-        if cells.is_empty() {
-            eprintln!(
-                "no cell matched; available: {}",
-                standard_cells()
-                    .iter()
-                    .map(|c| c.name.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            std::process::exit(2);
-        }
-    }
     let sinks = ctx.sinks();
     let table = ctx.time("fleetstudy/simulate", || {
         run_fleetstudy_jobs(&cells, &config, DEFAULT_SEED, &sinks, jobs)

@@ -1,28 +1,25 @@
 //! Regenerates Table 2 (duration of managed upgrade).
 //!
-//! Usage: `table2 [--quick] [--adaptive] [--seeds N] [--jobs N]
-//! [--trace PATH] [--metrics PATH]` plus the shared observability flags
-//! `--serve-metrics PORT`, `--serve-hold SECS` and `--phase-metrics` —
-//! `--quick` runs a reduced-scale version; `--adaptive` runs the
-//! studies on the adaptive coarse-to-fine grid (default coarse
-//! 32×32×16, fine 96×96×32 over the high-mass window; durations agree
-//! with the fixed grid to the adaptive tolerance contract, not
-//! bit-for-bit); `--seeds N` (N ≥ 1) additionally reports the spread of
-//! every cell across N seeds, the first of which is the table's own;
-//! `--jobs N` sizes the worker pool the studies fan out over (default:
-//! one per hardware thread) without changing any output;
-//! `--trace`/`--metrics` replay every study's checkpoints into an event
-//! trace and a metrics snapshot.
+//! Usage: `table2 [--quick] [--seeds N] [--jobs N] [--trace PATH]
+//! [--metrics PATH] [--serve-metrics PORT] [--serve-hold SECS]
+//! [--phase-metrics]` — `--quick` runs a reduced-scale version;
+//! `--seeds N` (N ≥ 1) additionally reports the spread of every cell
+//! across N seeds, the first of which is the table's own; `--jobs N`
+//! sizes the worker pool the studies fan out over (default: one per
+//! hardware thread) without changing any output; `--trace`/`--metrics`
+//! replay every study's checkpoints into an event trace and a metrics
+//! snapshot. Any other argument, or a malformed value, is a usage
+//! error (exit status 2).
 
 use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::bayes_study::StudyConfig;
-use wsu_experiments::obs::{exit_usage, jobs_from_args, ObsOptions};
+use wsu_experiments::obs::{check_flags_from_env, exit_usage, jobs_from_args, ObsOptions};
 use wsu_experiments::table2::{render_spread, run_table2_jobs, spread_of};
 use wsu_experiments::DEFAULT_SEED;
 use wsu_simcore::rng::MasterSeed;
 
-const USAGE: &str =
-    "table2 [--quick] [--adaptive] [--seeds N] [--jobs N] [--trace PATH] [--metrics PATH]";
+const USAGE: &str = "table2 [--quick] [--seeds N] [--jobs N] [--trace PATH] [--metrics PATH] \
+                     [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]";
 
 /// Parses `--seeds N`: `None` when absent, an error unless `N` is a
 /// count of at least one.
@@ -41,12 +38,9 @@ fn seeds_from_args(args: &[String]) -> Result<Option<usize>, String> {
 }
 
 fn main() {
+    check_flags_from_env(USAGE, &[("--quick", false), ("--seeds", true)]);
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let adaptive = args
-        .iter()
-        .any(|a| a == "--adaptive")
-        .then(Resolution::adaptive);
     let spread_seeds = seeds_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
     let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
     let mut ctx = ObsOptions::from_env(USAGE).context();
@@ -60,7 +54,7 @@ fn main() {
             demands: 10_000,
             checkpoint_every: 500,
             resolution: res,
-            adaptive,
+            adaptive: None,
             confidence: 0.99,
             target: 1e-3,
             seed: DEFAULT_SEED,
@@ -75,14 +69,8 @@ fn main() {
         )
     } else {
         (
-            StudyConfig {
-                adaptive,
-                ..StudyConfig::paper_scenario1(DEFAULT_SEED)
-            },
-            StudyConfig {
-                adaptive,
-                ..StudyConfig::paper_scenario2(DEFAULT_SEED)
-            },
+            StudyConfig::paper_scenario1(DEFAULT_SEED),
+            StudyConfig::paper_scenario2(DEFAULT_SEED),
         )
     };
     // The table is the first seed's; a spread adds the following seeds.

@@ -48,7 +48,8 @@ pub mod serve;
 pub mod table2;
 pub mod table5;
 pub mod table6;
-pub mod validation;
+#[cfg(test)]
+mod validation;
 
 use wsu_simcore::rng::MasterSeed;
 

@@ -246,27 +246,6 @@ pub fn simulate_cell_observed(
     }
 }
 
-/// Plans `requests` demands for a run and simulates every timeout column
-/// over the *same* plan.
-pub fn simulate_run(
-    outcomes: &dyn OutcomePairGen,
-    timing: ExecTimeModel,
-    requests: u64,
-    timeouts: &[f64],
-    seed: MasterSeed,
-    run_tag: &str,
-) -> Vec<CellResult> {
-    simulate_run_observed(
-        outcomes,
-        timing,
-        requests,
-        timeouts,
-        seed,
-        run_tag,
-        &ObsSinks::default(),
-    )
-}
-
 /// Plans one run's demands: the joint outcomes and execution times all
 /// timeout columns of that run replay.
 ///
@@ -286,25 +265,20 @@ pub fn plan_run(
     planner.plan_batch(requests as usize, &mut plan_rng)
 }
 
-/// [`simulate_run`] with observability sinks attached; each timeout
-/// column's engine gauges are tagged `"{run_tag}/t{timeout}"`.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_run_observed(
+/// Plans `requests` demands for a run and simulates every timeout column
+/// over the *same* plan, unobserved.
+pub fn simulate_run(
     outcomes: &dyn OutcomePairGen,
     timing: ExecTimeModel,
     requests: u64,
     timeouts: &[f64],
     seed: MasterSeed,
     run_tag: &str,
-    sinks: &ObsSinks,
 ) -> Vec<CellResult> {
     let plan = plan_run(outcomes, timing, requests, seed, run_tag);
     timeouts
         .iter()
-        .map(|&t| {
-            let tag = format!("{run_tag}/t{t}");
-            simulate_cell_observed(&plan, MiddlewareConfig::paper(t), seed, sinks, &tag)
-        })
+        .map(|&t| simulate_cell(&plan, MiddlewareConfig::paper(t), seed))
         .collect()
 }
 

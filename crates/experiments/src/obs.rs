@@ -131,6 +131,39 @@ pub fn check_flags_from_env(usage: &str, own: &[(&str, bool)]) {
     check_flags(&args, own).unwrap_or_else(|e| exit_usage(usage, &e));
 }
 
+/// Keeps the `entries` named by the `flag NAME` pairs in `args` (the
+/// flag is repeatable), in `entries` order; without any `flag`, keeps
+/// them all. A name that matches no entry is an error listing the
+/// available names, so a typo never silently shrinks the run.
+pub fn select_named<T>(
+    args: &[String],
+    flag: &str,
+    mut entries: Vec<T>,
+    name: impl Fn(&T) -> &str,
+) -> Result<Vec<T>, String> {
+    let wanted: Vec<&String> = args
+        .iter()
+        .zip(args.iter().skip(1))
+        .filter(|(a, _)| *a == flag)
+        .map(|(_, v)| v)
+        .collect();
+    if wanted.is_empty() {
+        return Ok(entries);
+    }
+    if let Some(unknown) = wanted
+        .iter()
+        .find(|w| !entries.iter().any(|e| name(e) == **w))
+    {
+        let available: Vec<&str> = entries.iter().map(&name).collect();
+        return Err(format!(
+            "{flag}: unknown name {unknown:?}; available: {}",
+            available.join(", ")
+        ));
+    }
+    entries.retain(|e| wanted.iter().any(|w| name(e) == *w));
+    Ok(entries)
+}
+
 /// Parses the shared `--jobs N` flag: `N` workers (`0` clamped to 1);
 /// absent means one worker per available hardware thread. A missing or
 /// non-numeric value is an error, never a silent fallback.
@@ -201,11 +234,6 @@ pub struct ObsContext {
 }
 
 impl ObsContext {
-    /// A context with no sinks (the no-flag default).
-    pub fn disabled() -> ObsContext {
-        ObsOptions::default().context()
-    }
-
     /// `true` when at least one output was requested.
     pub fn enabled(&self) -> bool {
         self.recorder.is_some() || self.metrics.is_some()
@@ -433,6 +461,18 @@ mod tests {
     }
 
     #[test]
+    fn select_named_rejects_any_unknown_name() {
+        let names = || vec!["a", "b", "c"];
+        let pick = |args: &[&str]| select_named(&strs(args), "--plan", names(), |n| n);
+        assert_eq!(pick(&["--quick"]), Ok(names()));
+        assert_eq!(pick(&["--plan", "c", "--plan", "a"]), Ok(vec!["a", "c"]));
+        for bad in [&["--plan", "x"][..], &["--plan", "a", "--plan", "x"]] {
+            let err = pick(bad).expect_err("unknown name");
+            assert_eq!(err, "--plan: unknown name \"x\"; available: a, b, c");
+        }
+    }
+
+    #[test]
     fn check_flags_accepts_own_and_shared_flags_only() {
         let own = [("--quick", false), ("--cell", true)];
         let ok = strs(&[
@@ -497,7 +537,7 @@ mod tests {
 
     #[test]
     fn timing_is_a_passthrough_when_disabled() {
-        let mut ctx = ObsContext::disabled();
+        let mut ctx = ObsOptions::default().context();
         assert_eq!(ctx.time("phase", || 7), 7);
     }
 

@@ -72,23 +72,6 @@ impl SimulationTable {
     }
 }
 
-/// Runs Table 5 with explicit request count, timeouts and timing model.
-pub fn run_table5_with(
-    seed: MasterSeed,
-    requests: u64,
-    timeouts: &[f64],
-    timing: ExecTimeModel,
-) -> SimulationTable {
-    run_table5_jobs(
-        seed,
-        requests,
-        timeouts,
-        timing,
-        &ObsSinks::default(),
-        Jobs::serial(),
-    )
-}
-
 /// Runs Table 5 over a worker pool with observability sinks threaded
 /// into every simulated cell (tagged `table5/run{n}/t{timeout}`). Every
 /// `(run, timeout)` cell is one replication; results, traces and
@@ -182,11 +165,13 @@ mod tests {
     use super::*;
 
     fn quick() -> SimulationTable {
-        run_table5_with(
+        run_table5_jobs(
             MasterSeed::new(41),
             2_000,
             &[1.5, 3.0],
             ExecTimeModel::paper(),
+            &ObsSinks::default(),
+            Jobs::new(1),
         )
     }
 

@@ -16,23 +16,6 @@ use wsu_workload::timing::ExecTimeModel;
 use crate::midsim::ObsSinks;
 use crate::table5::{group_cells, simulate_table_cells, SimulationTable};
 
-/// Runs Table 6 with explicit request count, timeouts and timing model.
-pub fn run_table6_with(
-    seed: MasterSeed,
-    requests: u64,
-    timeouts: &[f64],
-    timing: ExecTimeModel,
-) -> SimulationTable {
-    run_table6_jobs(
-        seed,
-        requests,
-        timeouts,
-        timing,
-        &ObsSinks::default(),
-        Jobs::serial(),
-    )
-}
-
 /// Runs Table 6 over a worker pool with observability sinks threaded
 /// into every simulated cell (tagged `table6/run{n}/t{timeout}`). Every
 /// `(run, timeout)` cell is one replication; results, traces and
@@ -69,7 +52,14 @@ mod tests {
     use super::*;
 
     fn quick() -> SimulationTable {
-        run_table6_with(MasterSeed::new(43), 4_000, &[2.0], ExecTimeModel::paper())
+        run_table6_jobs(
+            MasterSeed::new(43),
+            4_000,
+            &[2.0],
+            ExecTimeModel::paper(),
+            &ObsSinks::default(),
+            Jobs::new(1),
+        )
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub enum TraceEvent {
         t: f64,
         /// Demand at which the decision was taken.
         demand: u64,
-        /// Decision label (`switch-to-new` or `abort`).
+        /// Decision label (`switch-to-new` or `abort-upgrade`).
         decision: String,
         /// Human-readable rationale.
         reason: String,
@@ -145,13 +145,13 @@ pub enum TraceEvent {
         /// Time attributed to recovery actions, in seconds.
         recovery: f64,
     },
-    /// A free-form log line (the `EventLog` compatibility path).
+    /// A free-form log line (run notes such as phase timings).
     Log {
         /// Virtual time, in seconds (0 when the logger has no clock).
         t: f64,
         /// Demand the message refers to.
         demand: u64,
-        /// Severity label (`Info`, `Warning`, `Decision`).
+        /// Severity label (e.g. `info`).
         level: String,
         /// The message text.
         message: String,

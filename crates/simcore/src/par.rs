@@ -68,14 +68,6 @@ impl Jobs {
         Jobs(thread::available_parallelism().unwrap_or(NonZeroUsize::MIN))
     }
 
-    /// `Some(n)` → `n` workers (0 clamped to 1); `None` → [`Jobs::auto`].
-    pub fn from_request(requested: Option<usize>) -> Jobs {
-        match requested {
-            Some(n) => Jobs::new(n),
-            None => Jobs::auto(),
-        }
-    }
-
     /// The worker count.
     pub fn get(self) -> usize {
         self.0.get()
@@ -194,8 +186,6 @@ mod tests {
         assert_eq!(Jobs::serial().get(), 1);
         assert_eq!(Jobs::new(0).get(), 1);
         assert_eq!(Jobs::new(6).get(), 6);
-        assert_eq!(Jobs::from_request(Some(3)).get(), 3);
-        assert!(Jobs::from_request(None).get() >= 1);
         assert!(Jobs::default().get() >= 1);
     }
 

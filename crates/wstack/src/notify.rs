@@ -93,11 +93,6 @@ impl NotificationBroker {
             .map(|(_, inbox)| std::mem::take(inbox))
             .unwrap_or_default()
     }
-
-    /// Number of live subscriptions.
-    pub fn subscriber_count(&self) -> usize {
-        self.subscriptions.len()
-    }
 }
 
 #[cfg(test)]
@@ -141,7 +136,6 @@ mod tests {
         assert!(broker.unsubscribe(sub));
         assert!(!broker.unsubscribe(sub));
         assert_eq!(broker.publish(notice("X")), 0);
-        assert_eq!(broker.subscriber_count(), 0);
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //! * switches only on **criterion 2**: 99% confidence that the new
 //!   release's pfd is at or below an explicit `5e-3` target;
 //! * **suspends and restarts** a release that produces a streak of
-//!   evident failures (an injected outage).
+//!   evident failures (an injected outage);
+//! * once the outage is over, runs both releases **in parallel** to
+//!   build confidence in the new one: sequential mode consults the new
+//!   release only when the old one fails, so it gathers almost no
+//!   evidence about it.
 //!
 //! Run with: `cargo run --release --example bank_gateway`
 
@@ -18,6 +22,7 @@ use composite_ws_upgrade::core::manage::{RecoveryPolicy, SwitchCriterion};
 use composite_ws_upgrade::core::middleware::MiddlewareConfig;
 use composite_ws_upgrade::core::modes::{OperatingMode, SequentialOrder};
 use composite_ws_upgrade::core::upgrade::{ManagedUpgrade, UpgradeConfig, UpgradePhase};
+use composite_ws_upgrade::obs::{SharedRecorder, TraceEvent};
 use composite_ws_upgrade::simcore::dist::DelayModel;
 use composite_ws_upgrade::simcore::rng::{MasterSeed, StreamRng};
 use composite_ws_upgrade::simcore::time::SimDuration;
@@ -85,27 +90,13 @@ fn main() {
             suspend_after: 5,
             auto_restart: true,
         }));
+    // Recovery actions and switching decisions land in a typed trace.
+    let trace = SharedRecorder::new();
+    upgrade.attach_recorder(trace.clone());
 
     println!("processing 10,000 payment authorizations in sequential mode ...");
     upgrade.run_demands(10_000);
-
-    match upgrade.phase() {
-        UpgradePhase::Switched { at_demand } => {
-            println!("switched to gateway 3.5 after {at_demand} authorizations");
-        }
-        UpgradePhase::Aborted { at_demand } => {
-            println!("upgrade aborted after {at_demand} demands");
-        }
-        UpgradePhase::Transitional => {
-            println!("criterion 2 not yet met; still running both releases");
-        }
-    }
-
-    let report = upgrade.confidence_report();
-    println!(
-        "P(pfd_new <= 5e-3) target met: {}; new release P99 pfd {:.3e}",
-        report.criterion_met, report.new_release_p99
-    );
+    print_status(&upgrade);
 
     // Sequential mode back-end savings: how often was the second release
     // actually consulted?
@@ -119,10 +110,40 @@ fn main() {
         );
     }
 
-    // The injected outage should show up as recovery actions in the log.
-    println!("\nrecovery/decision log:");
-    for entry in upgrade.log().entries() {
-        println!("  {entry}");
+    // Build confidence in the new release with both releases running,
+    // for at most 30,000 more authorizations.
+    if upgrade.phase() == UpgradePhase::Transitional {
+        println!("\nrunning both releases in parallel until criterion 2 is met ...");
+        upgrade
+            .middleware_mut()
+            .set_config(MiddlewareConfig::paper(1.0));
+        for _ in 0..60 {
+            if upgrade.phase() != UpgradePhase::Transitional {
+                break;
+            }
+            upgrade.run_demands(500);
+        }
+        print_status(&upgrade);
+    }
+
+    // The injected outage should show up as recovery actions in the trace.
+    println!("\nrecovery/decision trace:");
+    for event in trace.snapshot() {
+        match event {
+            TraceEvent::ReleaseSuspended {
+                t,
+                demand,
+                release,
+                action,
+            } => println!("  [{demand:>6}] t={t:.1}s ReleaseSuspended release {release} {action}"),
+            TraceEvent::SwitchDecision {
+                t,
+                demand,
+                decision,
+                reason,
+            } => println!("  [{demand:>6}] t={t:.1}s SwitchDecision {decision}: {reason}"),
+            _ => {}
+        }
     }
 
     let sys = upgrade.monitor().system_stats();
@@ -130,5 +151,25 @@ fn main() {
         "\ncomposite gateway: availability {:.4}, mean authorization latency {:.3}s",
         sys.availability(),
         sys.mean_response_time()
+    );
+}
+
+/// Prints the upgrade phase and the confidence in the new release.
+fn print_status(upgrade: &ManagedUpgrade) {
+    match upgrade.phase() {
+        UpgradePhase::Switched { at_demand } => {
+            println!("switched to gateway 3.5 after {at_demand} authorizations");
+        }
+        UpgradePhase::Aborted { at_demand } => {
+            println!("upgrade aborted after {at_demand} demands");
+        }
+        UpgradePhase::Transitional => {
+            println!("criterion 2 not yet met; still running both releases");
+        }
+    }
+    let report = upgrade.confidence_report();
+    println!(
+        "P(pfd_new <= 5e-3) target met: {}; new release P99 pfd {:.3e}",
+        report.criterion_met, report.new_release_p99
     );
 }

@@ -5,8 +5,10 @@
 use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::bayes_study::{run_study, Detection, StudyConfig};
 use wsu_experiments::figures::confidence_error_bound_holds;
-use wsu_experiments::table5::run_table5_with;
-use wsu_experiments::table6::run_table6_with;
+use wsu_experiments::midsim::ObsSinks;
+use wsu_experiments::table5::run_table5_jobs;
+use wsu_experiments::table6::run_table6_jobs;
+use wsu_simcore::par::Jobs;
 use wsu_simcore::rng::MasterSeed;
 use wsu_workload::scenario::Scenario;
 use wsu_workload::timing::ExecTimeModel;
@@ -97,7 +99,14 @@ fn percentile_curves_fall() {
 /// release, for every run and timeout.
 #[test]
 fn table5_system_availability_dominates() {
-    let table = run_table5_with(SEED, 2_000, &[1.5, 3.0], ExecTimeModel::paper());
+    let table = run_table5_jobs(
+        SEED,
+        2_000,
+        &[1.5, 3.0],
+        ExecTimeModel::paper(),
+        &ObsSinks::default(),
+        Jobs::new(1),
+    );
     for run in &table.runs {
         for cell in &run.cells {
             assert!(
@@ -115,7 +124,14 @@ fn table5_system_availability_dominates() {
 /// correlation (run 4) it sits strictly between the two releases.
 #[test]
 fn table5_correlation_shape() {
-    let table = run_table5_with(SEED, 4_000, &[3.0], ExecTimeModel::paper());
+    let table = run_table5_jobs(
+        SEED,
+        4_000,
+        &[3.0],
+        ExecTimeModel::paper(),
+        &ObsSinks::default(),
+        Jobs::new(1),
+    );
     for run in &table.runs {
         let cell = &run.cells[0];
         let worse = cell
@@ -152,7 +168,14 @@ fn table5_correlation_shape() {
 /// "fault-tolerance works".
 #[test]
 fn table6_independence_shape() {
-    let table = run_table6_with(SEED, 4_000, &[3.0], ExecTimeModel::paper());
+    let table = run_table6_jobs(
+        SEED,
+        4_000,
+        &[3.0],
+        ExecTimeModel::paper(),
+        &ObsSinks::default(),
+        Jobs::new(1),
+    );
     for run in &table.runs {
         let cell = &run.cells[0];
         let best = cell
@@ -172,7 +195,14 @@ fn table6_independence_shape() {
 /// truncates the comparison.
 #[test]
 fn system_pays_for_dependability_with_latency() {
-    let table = run_table5_with(SEED, 2_000, &[3.0], ExecTimeModel::calibrated());
+    let table = run_table5_jobs(
+        SEED,
+        2_000,
+        &[3.0],
+        ExecTimeModel::calibrated(),
+        &ObsSinks::default(),
+        Jobs::new(1),
+    );
     for run in &table.runs {
         let cell = &run.cells[0];
         assert!(cell.system.met > cell.rel1.met.max(cell.rel2.met) * 0.99);
