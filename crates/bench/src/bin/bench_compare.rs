@@ -1,9 +1,6 @@
 //! Perf regression guard: compares a fresh `BENCH_*.json` report
 //! against a committed baseline and fails on large slowdowns.
 //!
-//! Usage: `bench_compare <baseline.json> <fresh.json> [--threshold X]
-//! [--min-ns N]`
-//!
 //! Rows are matched by name; a row slower than `threshold ×` its
 //! baseline median fails the run. The threshold defaults to 2× —
 //! deliberately generous, so the guard catches real regressions (an
@@ -21,6 +18,8 @@
 
 use std::path::Path;
 use std::process::ExitCode;
+
+use wsu_experiments::cli::{Cli, Flag, Kind};
 
 /// One `(name, median_ns)` row from a report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,35 +92,21 @@ fn load(path: &str) -> Result<Vec<Row>, String> {
     parse_report(&text).map_err(|err| format!("{path}: {err}"))
 }
 
+/// `--threshold` and `--min-ns`. A threshold must be finite and
+/// positive, so a typo (`nan`, `inf`, `0`) can never switch the guard
+/// off.
+const FLAGS: [Flag; 2] = [
+    Flag::new("--threshold", Kind::Positive, "a slowdown ratio > 0"),
+    Flag::new("--min-ns", Kind::U64, "a floor in nanoseconds"),
+];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut files = Vec::new();
-    let mut threshold = 2.0f64;
-    let mut min_ns = 1_000u64;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--threshold" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) => threshold = v,
-                None => {
-                    eprintln!("--threshold needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--min-ns" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) => min_ns = v,
-                None => {
-                    eprintln!("--min-ns needs an integer");
-                    return ExitCode::from(2);
-                }
-            },
-            other => files.push(other.to_string()),
-        }
-    }
-    let [baseline_path, fresh_path] = files.as_slice() else {
-        eprintln!("usage: bench_compare <baseline.json> <fresh.json> [--threshold X] [--min-ns N]");
-        return ExitCode::from(2);
-    };
+    let args = Cli::new("bench_compare", &[&FLAGS])
+        .operands(&["baseline.json", "fresh.json"])
+        .parse_env();
+    let threshold = args.get("--threshold").unwrap_or(2.0);
+    let min_ns = args.get("--min-ns").unwrap_or(1_000);
+    let (baseline_path, fresh_path) = (args.operand(0), args.operand(1));
 
     let (baseline, fresh) = match (load(baseline_path), load(fresh_path)) {
         (Ok(b), Ok(f)) => (b, f),

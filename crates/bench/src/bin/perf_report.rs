@@ -1,10 +1,10 @@
 //! Perf-trajectory emitter: times the experiment pipelines at reduced
 //! scale and writes `BENCH_experiments.json`.
 //!
-//! Usage: `perf_report [--out DIR] [--samples N] [--full]`
-//!
-//! Each entry is the wall time of one experiment run (`--quick`-scale by
-//! default, paper scale with `--full`); with `--samples N > 1` the run is
+//! Each entry is the wall time of one experiment run — a step of the
+//! step table (`wsu_experiments::suite`) run as its binary would, at
+//! `--quick` scale by default and paper scale with `--full`, or one of
+//! the studies behind a step; with `--samples N > 1` the run is
 //! repeated and the median reported. The JSON format is documented in
 //! [`wsu_bench::report`]; pair this file with `BENCH_bayes.json`
 //! (`WSU_BENCH_JSON=... cargo bench --bench bench_bayes`) to track both
@@ -13,18 +13,14 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use wsu_bayes::whitebox::Resolution;
 use wsu_bench::report::{write_json, Entry};
 use wsu_core::middleware::MiddlewareConfig;
 use wsu_experiments::bayes_study::StudyConfig;
-use wsu_experiments::campaign::{run_campaign_jobs, standard_plans, CampaignConfig};
-use wsu_experiments::fleetstudy::{run_fleetstudy_jobs, standard_cells, FleetStudyConfig};
-use wsu_experiments::midsim::{plan_run, simulate_cell, ObsSinks};
-use wsu_experiments::{
-    ablation, figures, table2, table5, table6, DEFAULT_SEED, PAPER_REQUESTS, PAPER_TIMEOUTS,
-};
+use wsu_experiments::cli::{Cli, Flag, Kind};
+use wsu_experiments::midsim::{plan_run, simulate_cell};
+use wsu_experiments::obs::ObsOptions;
+use wsu_experiments::{ablation, suite, DEFAULT_SEED, PAPER_REQUESTS};
 use wsu_simcore::par::Jobs;
-use wsu_simcore::rng::MasterSeed;
 use wsu_workload::outcomes::CorrelatedOutcomes;
 use wsu_workload::runs::RunSpec;
 use wsu_workload::timing::ExecTimeModel;
@@ -48,191 +44,90 @@ fn time_runs<F: FnMut()>(name: &str, samples: usize, mut run: F) -> Entry {
     entry
 }
 
+const FLAGS: [Flag; 3] = [
+    Flag::new("--out", Kind::Path, "a directory").meta("DIR"),
+    Flag::new("--samples", Kind::Count(0), "a sample count"),
+    Flag::new("--full", Kind::Switch, "time paper scale"),
+];
+
 fn main() -> std::io::Result<()> {
-    let args: Vec<String> = std::env::args().collect();
-    let full = args.iter().any(|a| a == "--full");
+    let args = Cli::new("perf_report", &[&FLAGS]).parse_env();
+    let full = args.switch("--full");
     let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
+        .get("--out")
         .unwrap_or_else(|| PathBuf::from("results"));
-    let samples: usize = args
-        .iter()
-        .position(|a| a == "--samples")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(1);
+    let samples = args.get("--samples").unwrap_or(1);
 
-    // The same reduced-scale configurations the experiment binaries use
-    // for `--quick`, so CI wall times track the real pipelines.
-    let res = if full {
-        Resolution::default()
-    } else {
-        Resolution {
-            a_cells: 48,
-            b_cells: 48,
-            q_cells: 16,
-        }
-    };
-    let study1 = StudyConfig {
-        demands: if full { 50_000 } else { 10_000 },
-        checkpoint_every: 500,
-        resolution: res,
-        adaptive: None,
-        confidence: 0.99,
-        target: 1e-3,
-        seed: DEFAULT_SEED,
-    };
-    let study2 = StudyConfig {
-        demands: if full { 10_000 } else { 4_000 },
-        checkpoint_every: 100,
-        resolution: res,
-        adaptive: None,
-        confidence: 0.99,
-        target: 1e-3,
-        seed: DEFAULT_SEED,
-    };
+    // The step binaries themselves, as `--quick` (or, with `--full`,
+    // paper-scale) runs, so CI wall times track the real pipelines.
     let scale = if full { "full" } else { "quick" };
-
-    let mut entries = Vec::new();
-    entries.push(time_runs(
-        &format!("experiments/table2/{scale}"),
-        samples,
-        || {
-            std::hint::black_box(table2::run_table2_with(DEFAULT_SEED, &study1, &study2));
-        },
-    ));
-    let seeds: Vec<MasterSeed> = (0..if full { 10u64 } else { 3 })
-        .map(|i| MasterSeed::new(DEFAULT_SEED.value().wrapping_add(i)))
-        .collect();
-    entries.push(time_runs(
-        &format!("experiments/table2_spread/{scale}"),
-        samples,
-        || {
-            std::hint::black_box(table2::run_table2_spread(&seeds, &study1, &study2));
-        },
-    ));
-    entries.push(time_runs(
-        &format!("experiments/fig7/{scale}"),
-        samples,
-        || {
-            std::hint::black_box(figures::run_fig7(&study1));
-        },
-    ));
-    entries.push(time_runs(
-        &format!("experiments/fig8/{scale}"),
-        samples,
-        || {
-            std::hint::black_box(figures::run_fig8(&study2));
-        },
-    ));
-    entries.push(time_runs(
-        &format!("experiments/ablations_coverage/{scale}"),
-        samples,
-        || {
-            std::hint::black_box(ablation::run_coverage_ablation_jobs(
-                &study1,
-                &[0.0, 0.10, 0.25],
-                Jobs::new(1),
-            ));
-        },
-    ));
-    entries.push(time_runs(
-        &format!("experiments/ablations_prior/{scale}"),
-        samples,
-        || {
-            std::hint::black_box(ablation::run_prior_ablation_jobs(&study1, Jobs::new(1)));
-        },
-    ));
-    let campaign_config = if full {
-        CampaignConfig::paper()
-    } else {
-        CampaignConfig::quick()
+    let quick: &[&str] = if full { &[] } else { &["--quick"] };
+    let spread = if full { "10" } else { "3" };
+    let step = |row: String, name: &str, own: &[&str]| {
+        let argv = [quick, own].concat();
+        time_runs(&format!("experiments/{row}"), samples, || {
+            let mut ctx = ObsOptions::default().context();
+            std::hint::black_box(suite::step(name).run(&argv, &mut ctx));
+        })
     };
-    entries.push(time_runs(
-        &format!("experiments/faultcampaign/{scale}"),
-        samples,
-        || {
-            std::hint::black_box(run_campaign_jobs(
-                &standard_plans(),
-                &campaign_config,
-                DEFAULT_SEED,
-                &ObsSinks::default(),
-                Jobs::serial(),
-            ));
-        },
-    ));
-
-    let fleet_config = if full {
-        FleetStudyConfig::paper()
+    let study1 = if full {
+        StudyConfig::paper_scenario1(DEFAULT_SEED)
     } else {
-        FleetStudyConfig::quick()
+        StudyConfig::quick_scenario1(DEFAULT_SEED)
     };
-    entries.push(time_runs(
-        &format!("experiments/fleetstudy/{scale}"),
-        samples,
-        || {
-            std::hint::black_box(run_fleetstudy_jobs(
-                &standard_cells(),
-                &fleet_config,
-                DEFAULT_SEED,
-                &ObsSinks::default(),
-                Jobs::serial(),
-            ));
-        },
-    ));
-
+    let mut entries = vec![
+        step(format!("table2/{scale}"), "table2", &[]),
+        step(
+            format!("table2_spread/{scale}"),
+            "table2",
+            &["--seeds", spread],
+        ),
+        step(format!("fig7/{scale}"), "fig7", &[]),
+        step(format!("fig8/{scale}"), "fig8", &[]),
+        time_runs(
+            &format!("experiments/ablations_coverage/{scale}"),
+            samples,
+            || {
+                let coverages = [0.0, 0.10, 0.25];
+                std::hint::black_box(ablation::run_coverage_ablation_jobs(
+                    &study1,
+                    &coverages,
+                    Jobs::new(1),
+                ));
+            },
+        ),
+        time_runs(
+            &format!("experiments/ablations_prior/{scale}"),
+            samples,
+            || {
+                std::hint::black_box(ablation::run_prior_ablation_jobs(&study1, Jobs::new(1)));
+            },
+        ),
+        step(
+            format!("faultcampaign/{scale}"),
+            "faultcampaign",
+            &["--jobs", "1"],
+        ),
+        step(
+            format!("fleetstudy/{scale}"),
+            "fleetstudy",
+            &["--jobs", "1"],
+        ),
+    ];
     // The parallel replication runner, sequentially and with a pool of
     // four, on the same workload — the jobs=1 vs jobs=4 pair is the
     // speedup a multi-core host gets for free (on a single-core host
-    // the two rows coincide, minus scheduling noise).
-    let requests = if full { 10_000 } else { 2_000 };
-    for jobs in [1usize, 4] {
-        entries.push(time_runs(
-            &format!("experiments/table5/{scale}/jobs{jobs}"),
-            samples,
-            || {
-                std::hint::black_box(table5::run_table5_jobs(
-                    DEFAULT_SEED,
-                    requests,
-                    &PAPER_TIMEOUTS,
-                    ExecTimeModel::paper(),
-                    &ObsSinks::default(),
-                    Jobs::new(jobs),
-                ));
-            },
-        ));
-        entries.push(time_runs(
-            &format!("experiments/table6/{scale}/jobs{jobs}"),
-            samples,
-            || {
-                std::hint::black_box(table6::run_table6_jobs(
-                    DEFAULT_SEED,
-                    requests,
-                    &PAPER_TIMEOUTS,
-                    ExecTimeModel::paper(),
-                    &ObsSinks::default(),
-                    Jobs::new(jobs),
-                ));
-            },
-        ));
+    // the two rows coincide, minus scheduling noise) — for Tables 5/6
+    // and for the white-box Bayes studies of the Table 2 spread.
+    for jobs in ["1", "4"] {
+        for table in ["table5", "table6"] {
+            let row = format!("{table}/{scale}/jobs{jobs}");
+            entries.push(step(row, table, &["--jobs", jobs]));
+        }
     }
-    // The same pair for the white-box Bayes studies of the Table 2
-    // spread, which fan out over the same pool.
-    for jobs in [1usize, 4] {
-        entries.push(time_runs(
-            &format!("experiments/table2_spread/{scale}/jobs{jobs}"),
-            samples,
-            || {
-                std::hint::black_box(table2::spread_of(&table2::run_table2_jobs(
-                    &seeds,
-                    &study1,
-                    &study2,
-                    Jobs::new(jobs),
-                )));
-            },
-        ));
+    for jobs in ["1", "4"] {
+        let row = format!("table2_spread/{scale}/jobs{jobs}");
+        entries.push(step(row, "table2", &["--seeds", spread, "--jobs", jobs]));
     }
 
     // The two halves of one paper-scale Table 5 run, at paper scale

@@ -282,20 +282,10 @@ pub fn render_prior_table(rows: &[PriorRow]) -> String {
 mod tests {
     use super::*;
 
+    use crate::bayes_study::TEST_RESOLUTION;
+
     fn quick_study() -> StudyConfig {
-        StudyConfig {
-            demands: 4_000,
-            checkpoint_every: 500,
-            resolution: Resolution {
-                a_cells: 32,
-                b_cells: 32,
-                q_cells: 8,
-            },
-            adaptive: None,
-            confidence: 0.99,
-            target: 1e-3,
-            seed: MasterSeed::new(61),
-        }
+        StudyConfig::test(4_000, 500, MasterSeed::new(61))
     }
 
     #[test]
@@ -349,11 +339,7 @@ mod tests {
     fn class_detection_ablation_bias_direction() {
         let rows = run_class_detection_ablation(
             3_000,
-            Resolution {
-                a_cells: 32,
-                b_cells: 32,
-                q_cells: 8,
-            },
+            TEST_RESOLUTION,
             MasterSeed::new(77),
             0.5,
             &[1.0, 0.5],
@@ -382,11 +368,7 @@ mod tests {
         let rows = run_abort_ablation_jobs(
             3,
             4_000,
-            Resolution {
-                a_cells: 32,
-                b_cells: 32,
-                q_cells: 8,
-            },
+            TEST_RESOLUTION,
             MasterSeed::new(123),
             &[0.5, 20.0],
             Jobs::serial(),

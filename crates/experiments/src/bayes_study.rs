@@ -110,11 +110,56 @@ impl StudyConfig {
         StudyConfig {
             demands: 10_000,
             checkpoint_every: 100,
-            resolution: Resolution::default(),
-            adaptive: None,
-            confidence: 0.99,
-            target: 1e-3,
-            seed,
+            ..StudyConfig::paper_scenario1(seed)
+        }
+    }
+
+    /// The `--quick` scale of Scenario 1: 10,000 demands on a coarse
+    /// 48×48×16 grid.
+    pub fn quick_scenario1(seed: MasterSeed) -> StudyConfig {
+        StudyConfig {
+            demands: 10_000,
+            resolution: QUICK_RESOLUTION,
+            ..StudyConfig::paper_scenario1(seed)
+        }
+    }
+
+    /// The `--quick` scale of Scenario 2: 4,000 demands on the coarse
+    /// grid.
+    pub fn quick_scenario2(seed: MasterSeed) -> StudyConfig {
+        StudyConfig {
+            demands: 4_000,
+            resolution: QUICK_RESOLUTION,
+            ..StudyConfig::paper_scenario2(seed)
+        }
+    }
+}
+
+/// The grid of the `--quick` studies.
+const QUICK_RESOLUTION: Resolution = Resolution {
+    a_cells: 48,
+    b_cells: 48,
+    q_cells: 16,
+};
+
+/// The coarse 32×32×8 grid of the unit tests' studies.
+#[cfg(test)]
+pub(crate) const TEST_RESOLUTION: Resolution = Resolution {
+    a_cells: 32,
+    b_cells: 32,
+    q_cells: 8,
+};
+
+#[cfg(test)]
+impl StudyConfig {
+    /// A unit-test study: `demands` demands on the [`TEST_RESOLUTION`]
+    /// grid, checkpoints every `every`, the paper's criteria.
+    pub(crate) fn test(demands: u64, every: u64, seed: MasterSeed) -> StudyConfig {
+        StudyConfig {
+            demands,
+            checkpoint_every: every,
+            resolution: TEST_RESOLUTION,
+            ..StudyConfig::paper_scenario1(seed)
         }
     }
 }
@@ -334,19 +379,7 @@ mod tests {
     use wsu_simcore::rng::MasterSeed;
 
     fn tiny_config(demands: u64) -> StudyConfig {
-        StudyConfig {
-            demands,
-            checkpoint_every: demands / 10,
-            resolution: Resolution {
-                a_cells: 32,
-                b_cells: 32,
-                q_cells: 8,
-            },
-            adaptive: None,
-            confidence: 0.99,
-            target: 1e-3,
-            seed: MasterSeed::new(11),
-        }
+        StudyConfig::test(demands, demands / 10, MasterSeed::new(11))
     }
 
     #[test]

@@ -1,251 +1,46 @@
-//! Runs every experiment and writes the outputs under `results/`.
-//!
-//! Usage: `all [--quick] [--out DIR] [--jobs N] [--trace PATH]
-//! [--metrics PATH] [--serve-metrics PORT] [--serve-hold SECS]
-//! [--phase-metrics]` — `--jobs` sizes the worker pool every step fans its independent runs
-//! over (the white-box Bayes studies of Table 2, its spread and
-//! Figs. 7–8; the replications of Tables 5–6, the ablations, the fault
-//! campaign and the capacity study) without changing any output byte.
-//! Any other argument, or a malformed value, is a usage error (exit
-//! status 2).
+//! Runs every step of the step table (`wsu_experiments::suite`) and
+//! writes each step's files under `--out` (default `results/`), printing
+//! one progress line per step, with its wall time, on stderr. Each file
+//! holds exactly the bytes the step's own binary prints for the same
+//! invocation; `--quick` and `--jobs` are passed on to every step.
 
 use std::fs;
 use std::path::PathBuf;
+use std::time::Instant;
 
-use wsu_bayes::whitebox::Resolution;
-use wsu_experiments::bayes_study::StudyConfig;
-use wsu_experiments::midsim::ObsSinks;
-use wsu_experiments::obs::{check_flags_from_env, exit_usage, jobs_from_args, ObsOptions};
-use wsu_experiments::{
-    ablation, campaign, capacity, figures, table2, table5, table6, DEFAULT_SEED, PAPER_TIMEOUTS,
-};
-use wsu_simcore::rng::MasterSeed;
-use wsu_workload::timing::ExecTimeModel;
-
-const USAGE: &str = "all [--quick] [--out DIR] [--jobs N] [--trace PATH] [--metrics PATH] \
-                     [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]";
+use wsu_experiments::cli::{Cli, Flag, Kind};
+use wsu_experiments::obs::{ObsOptions, OBS_FLAGS};
+use wsu_experiments::suite::{JOBS, QUICK, STEPS};
 
 fn main() -> std::io::Result<()> {
-    check_flags_from_env(USAGE, &[("--quick", false), ("--out", true)]);
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
-    let mut ctx = ObsOptions::from_env(USAGE).context();
-    let sinks = ctx.sinks();
+    let out = Flag::new("--out", Kind::Path, "a directory").meta("DIR");
+    let args = Cli::new("all", &[&[QUICK, out], &[JOBS], &OBS_FLAGS]).parse_env();
     let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
+        .get("--out")
         .unwrap_or_else(|| PathBuf::from("results"));
+    let mut common = Vec::new();
+    if args.switch("--quick") {
+        common.push("--quick".to_owned());
+    }
+    if let Some(jobs) = args.text("--jobs") {
+        common.extend(["--jobs".to_owned(), jobs.to_owned()]);
+    }
+    let mut ctx = ObsOptions::from_args(&args).context();
+    // Only a step's first invocation is observed: the calibrated Table
+    // 5/6 re-runs would record into the same metric series and cells.
+    let mut unobserved = ObsOptions::default().context();
     fs::create_dir_all(&out_dir)?;
-
-    let res = if quick {
-        Resolution {
-            a_cells: 48,
-            b_cells: 48,
-            q_cells: 16,
+    for (i, step) in STEPS.iter().enumerate() {
+        eprint!("[{}/{}] {} ...", i + 1, STEPS.len(), step.name);
+        let start = Instant::now();
+        for (n, invocation) in step.invocations.iter().enumerate() {
+            let ctx = if n == 0 { &mut ctx } else { &mut unobserved };
+            for (file, bytes) in step.invoke(invocation, &common, ctx) {
+                fs::write(out_dir.join(file), bytes)?;
+            }
         }
-    } else {
-        Resolution::default()
-    };
-    let study1 = StudyConfig {
-        demands: if quick { 10_000 } else { 50_000 },
-        checkpoint_every: 500,
-        resolution: res,
-        adaptive: None,
-        confidence: 0.99,
-        target: 1e-3,
-        seed: DEFAULT_SEED,
-    };
-    let study2 = StudyConfig {
-        demands: if quick { 4_000 } else { 10_000 },
-        checkpoint_every: 100,
-        resolution: res,
-        adaptive: None,
-        confidence: 0.99,
-        target: 1e-3,
-        seed: DEFAULT_SEED,
-    };
-    let requests = if quick { 2_000 } else { 10_000 };
-
-    eprintln!("[1/9] Table 2 (single seed + spread) ...");
-    let t2 = ctx.time("all/table2", || {
-        table2::run_table2_jobs(&[DEFAULT_SEED], &study1, &study2, jobs)
-            .pop()
-            .expect("one table per seed")
-    });
-    for run in &t2.runs {
-        ctx.record_study(
-            run,
-            &format!("table2/s{}/{:?}", run.scenario, run.detection),
-        );
+        eprintln!(" {:.2}s", start.elapsed().as_secs_f64());
     }
-    fs::write(out_dir.join("table2.txt"), t2.render())?;
-    let seeds: Vec<MasterSeed> = (0..10u64)
-        .map(|i| MasterSeed::new(DEFAULT_SEED.value().wrapping_add(i)))
-        .collect();
-    let spread = ctx.time("all/table2-spread", || {
-        table2::spread_of(&table2::run_table2_jobs(&seeds, &study1, &study2, jobs))
-    });
-    fs::write(
-        out_dir.join("table2_spread.txt"),
-        table2::render_spread(&spread),
-    )?;
-
-    eprintln!("[2/9] Fig. 7 ...");
-    let (fig7, fig7_runs) = ctx.time("all/fig7", || {
-        figures::run_figure(figures::Figure::Seven, &study1, jobs)
-    });
-    ctx.record_study(&fig7_runs.perfect, "fig7/perfect");
-    if let Some(omission) = &fig7_runs.omission {
-        ctx.record_study(omission, "fig7/omission");
-    }
-    ctx.record_study(&fig7_runs.back_to_back, "fig7/back-to-back");
-    fs::write(out_dir.join("fig7.tsv"), fig7.to_tsv())?;
-
-    eprintln!("[3/9] Fig. 8 ...");
-    let (fig8, fig8_runs) = ctx.time("all/fig8", || {
-        figures::run_figure(figures::Figure::Eight, &study2, jobs)
-    });
-    ctx.record_study(&fig8_runs.perfect, "fig8/perfect");
-    if let Some(omission) = &fig8_runs.omission {
-        ctx.record_study(omission, "fig8/omission");
-    }
-    ctx.record_study(&fig8_runs.back_to_back, "fig8/back-to-back");
-    fs::write(out_dir.join("fig8.tsv"), fig8.to_tsv())?;
-
-    eprintln!("[4/9] Table 5 ...");
-    let t5 = ctx.time("all/table5", || {
-        table5::run_table5_jobs(
-            DEFAULT_SEED,
-            requests,
-            &PAPER_TIMEOUTS,
-            ExecTimeModel::paper(),
-            &sinks,
-            jobs,
-        )
-    });
-    fs::write(out_dir.join("table5.txt"), t5.render())?;
-
-    eprintln!("[5/9] Table 6 ...");
-    let t6 = ctx.time("all/table6", || {
-        table6::run_table6_jobs(
-            DEFAULT_SEED,
-            requests,
-            &PAPER_TIMEOUTS,
-            ExecTimeModel::paper(),
-            &sinks,
-            jobs,
-        )
-    });
-    fs::write(out_dir.join("table6.txt"), t6.render())?;
-
-    eprintln!("[6/9] Calibrated-timing variants ...");
-    let t5c = ctx.time("all/table5-calibrated", || {
-        table5::run_table5_jobs(
-            DEFAULT_SEED,
-            requests,
-            &PAPER_TIMEOUTS,
-            ExecTimeModel::calibrated(),
-            &ObsSinks::default(),
-            jobs,
-        )
-    });
-    fs::write(out_dir.join("table5_calibrated.txt"), t5c.render())?;
-    let t6c = ctx.time("all/table6-calibrated", || {
-        table6::run_table6_jobs(
-            DEFAULT_SEED,
-            requests,
-            &PAPER_TIMEOUTS,
-            ExecTimeModel::calibrated(),
-            &ObsSinks::default(),
-            jobs,
-        )
-    });
-    fs::write(out_dir.join("table6_calibrated.txt"), t6c.render())?;
-
-    eprintln!("[7/9] Ablations ...");
-    let ab = ctx.time("all/ablations", || {
-        let mut ab = String::new();
-        ab.push_str(&ablation::render_adjudicator_table(
-            &ablation::run_adjudicator_ablation_jobs(DEFAULT_SEED, requests, jobs),
-        ));
-        ab.push('\n');
-        ab.push_str(&ablation::render_mode_table(
-            &ablation::run_mode_ablation_jobs(DEFAULT_SEED, requests, jobs),
-        ));
-        ab.push('\n');
-        ab.push_str(&ablation::render_coverage_table(
-            &ablation::run_coverage_ablation_jobs(
-                &study1,
-                &[0.0, 0.05, 0.10, 0.15, 0.25, 0.40],
-                jobs,
-            ),
-        ));
-        ab.push('\n');
-        ab.push_str(&ablation::render_prior_table(
-            &ablation::run_prior_ablation_jobs(&study1, jobs),
-        ));
-        ab.push('\n');
-        ab.push_str(&ablation::render_class_detection_table(
-            &ablation::run_class_detection_ablation(
-                study1.demands,
-                study1.resolution,
-                DEFAULT_SEED,
-                0.5,
-                &[1.0, 0.85, 0.70, 0.50, 0.25],
-            ),
-        ));
-        ab.push('\n');
-        ab.push_str(&ablation::render_abort_table(
-            &ablation::run_abort_ablation_jobs(
-                if quick { 3 } else { 10 },
-                if quick { 4_000 } else { 20_000 },
-                study1.resolution,
-                DEFAULT_SEED,
-                &[0.5, 1.0, 2.0, 5.0, 10.0],
-                jobs,
-            ),
-        ));
-        ab
-    });
-    fs::write(out_dir.join("ablations.txt"), ab)?;
-
-    eprintln!("[8/9] Fault-injection campaign ...");
-    let campaign = ctx.time("all/faultcampaign", || {
-        campaign::run_campaign_jobs(
-            &campaign::standard_plans(),
-            &if quick {
-                campaign::CampaignConfig::quick()
-            } else {
-                campaign::CampaignConfig::paper()
-            },
-            DEFAULT_SEED,
-            &sinks,
-            jobs,
-        )
-    });
-    fs::write(out_dir.join("faultcampaign.txt"), campaign.render())?;
-
-    eprintln!("[9/9] Capacity study ...");
-    let gen =
-        wsu_workload::outcomes::CorrelatedOutcomes::from_run(&wsu_workload::runs::RunSpec::run2());
-    let cap = ctx.time("all/capacity", || {
-        capacity::run_capacity_study_jobs(
-            &gen,
-            ExecTimeModel::calibrated(),
-            &[0.2, 0.4, 0.6, 0.8],
-            if quick { 3_000 } else { 20_000 },
-            DEFAULT_SEED,
-            jobs,
-        )
-    });
-    fs::write(
-        out_dir.join("capacity.txt"),
-        capacity::render_capacity_table(&cap),
-    )?;
-
     ctx.finish()?;
     eprintln!("done; outputs in {}", out_dir.display());
     Ok(())

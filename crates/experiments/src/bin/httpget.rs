@@ -7,17 +7,14 @@
 
 use std::process::exit;
 
+use wsu_experiments::cli::Cli;
 use wsu_obs::http_get;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (addr, path) = match (args.first(), args.get(1)) {
-        (Some(addr), Some(path)) => (addr.as_str(), path.as_str()),
-        _ => {
-            eprintln!("usage: wsu-httpget <host:port> <path>");
-            exit(2);
-        }
-    };
+    let args = Cli::new("wsu-httpget", &[])
+        .operands(&["host:port", "path"])
+        .parse_env();
+    let (addr, path) = (args.operand(0), args.operand(1));
     match http_get(addr, path) {
         Ok(resp) if resp.status == 200 => print!("{}", resp.body),
         Ok(resp) => {

@@ -8,138 +8,77 @@
 //! * `GET /snapshot` — aggregate JSON;
 //! * `GET /health` — liveness.
 //!
-//! Usage:
-//!
-//! ```text
-//! wsu-serve [--addr HOST:PORT] [--workers N]
-//!           [--spec paper|deterministic|canary-fleet] [--sharded]
-//!           [--seed N] [--duration SECS]
-//! ```
-//!
 //! Defaults: `--addr 127.0.0.1:9100`, `--workers 0` (one per hardware
-//! thread), `--spec paper`, the workspace seed, `--duration 0` (serve
-//! until killed). `--sharded` keys each demand's randomness on a
-//! fleet-global demand index instead of a per-worker stream, so the
-//! outcome stream is identical at any `--workers` count (see
-//! `ServeSpec::sharded`). Prints `listening on ADDR workers=N` once
-//! ready.
+//! thread), `--spec paper`, the workspace seed, and `--duration 0`,
+//! which serves until the process is killed; any other duration must
+//! be a finite, non-negative number of seconds. `--sharded` keys each
+//! demand's randomness on a fleet-global demand index instead of a
+//! per-worker stream, so the outcome stream is identical at any
+//! `--workers` count (see `ServeSpec::sharded`). Prints `listening on
+//! ADDR workers=N` once ready.
 
 use std::process::exit;
 use std::time::Duration;
 
 use wsu_core::serve::ServeSpec;
+use wsu_experiments::cli::{Cli, Flag, Kind};
 use wsu_experiments::serve::{FrontConfig, HttpFront};
+use wsu_experiments::DEFAULT_SEED;
 
-struct Options {
-    addr: String,
-    workers: usize,
-    spec: String,
-    sharded: bool,
-    seed: u64,
-    duration: f64,
-}
-
-fn parse(args: &[String]) -> Result<Options, String> {
-    let mut options = Options {
-        addr: "127.0.0.1:9100".to_string(),
-        workers: 0,
-        spec: "paper".to_string(),
-        sharded: false,
-        seed: 0x5745_4253_5643_5550,
-        duration: 0.0,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = |i: usize| -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag {
-            "--addr" => options.addr = value(i)?.clone(),
-            "--workers" => {
-                options.workers = value(i)?
-                    .parse()
-                    .map_err(|_| format!("--workers: not a count: {}", args[i + 1]))?;
-            }
-            "--spec" => options.spec = value(i)?.clone(),
-            "--sharded" => {
-                options.sharded = true;
-                i += 1;
-                continue;
-            }
-            "--seed" => {
-                options.seed = value(i)?
-                    .parse()
-                    .map_err(|_| format!("--seed: not a u64: {}", args[i + 1]))?;
-            }
-            "--duration" => {
-                options.duration = value(i)?
-                    .parse()
-                    .map_err(|_| format!("--duration: not seconds: {}", args[i + 1]))?;
-            }
-            other => return Err(format!("unknown flag: {other}")),
-        }
-        i += 2;
-    }
-    Ok(options)
-}
+const FLAGS: [Flag; 6] = [
+    Flag::new("--addr", Kind::Name, "a listen address").meta("HOST:PORT"),
+    Flag::new("--workers", Kind::Count(0), "a worker count (0: all cores)"),
+    Flag::new("--spec", Kind::Name, "a serving spec").meta("paper|deterministic|canary-fleet"),
+    Flag::new("--sharded", Kind::Switch, "fleet-global demand streams"),
+    Flag::new("--seed", Kind::U64, "a master seed"),
+    Flag::new("--duration", Kind::Seconds, "a number of seconds"),
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match parse(&args) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("wsu-serve: {message}");
-            eprintln!(
-                "usage: wsu-serve [--addr HOST:PORT] [--workers N] \
-                 [--spec paper|deterministic|canary-fleet] [--sharded] \
-                 [--seed N] [--duration SECS]"
-            );
-            exit(2);
-        }
+    let args = Cli::new("wsu-serve", &[&FLAGS]).parse_env();
+    let addr = args.text("--addr").unwrap_or("127.0.0.1:9100");
+    let workers = args.get("--workers").unwrap_or(0);
+    let spec_name = args.text("--spec").unwrap_or("paper");
+    let seed = args.get("--seed").unwrap_or(DEFAULT_SEED.value());
+    let mut spec = match spec_name {
+        "paper" => ServeSpec::paper(seed),
+        "deterministic" => ServeSpec::deterministic(seed),
+        "canary-fleet" => ServeSpec::canary_fleet(seed),
+        other => args.fail(&format!(
+            "--spec: unknown spec {other:?} (want paper|deterministic|canary-fleet)"
+        )),
     };
-    let mut spec = match options.spec.as_str() {
-        "paper" => ServeSpec::paper(options.seed),
-        "deterministic" => ServeSpec::deterministic(options.seed),
-        "canary-fleet" => ServeSpec::canary_fleet(options.seed),
-        other => {
-            eprintln!("wsu-serve: unknown --spec {other} (want paper|deterministic|canary-fleet)");
-            exit(2);
-        }
-    };
-    if options.sharded {
+    if args.switch("--sharded") {
         spec = spec.with_sharding();
     }
-    let front = match HttpFront::start(FrontConfig::new(&options.addr, options.workers, spec)) {
+    let front = match HttpFront::start(FrontConfig::new(addr, workers, spec)) {
         Ok(front) => front,
         Err(err) => {
-            eprintln!("wsu-serve: bind {} failed: {err}", options.addr);
+            eprintln!("wsu-serve: bind {addr} failed: {err}");
             exit(1);
         }
     };
     println!(
-        "listening on {} workers={} spec={} seed={}",
+        "listening on {} workers={} spec={spec_name} seed={seed}",
         front.local_addr(),
-        if options.workers == 0 {
+        if workers == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
         } else {
-            options.workers
+            workers
         },
-        options.spec,
-        options.seed,
     );
-    if options.duration > 0.0 {
-        std::thread::sleep(Duration::from_secs_f64(options.duration));
-        let demands = front.demands();
-        front.shutdown();
-        println!("served {demands} demands in {:.1}s", options.duration);
-    } else {
-        // Serve until the process is killed.
-        loop {
-            std::thread::sleep(Duration::from_secs(3600));
+    match args.seconds("--duration").filter(|d| !d.is_zero()) {
+        Some(duration) => {
+            std::thread::sleep(duration);
+            let demands = front.demands();
+            front.shutdown();
+            println!("served {demands} demands in {:.1}s", duration.as_secs_f64());
         }
+        // Serve until the process is killed.
+        None => loop {
+            std::thread::sleep(Duration::from_secs(3600));
+        },
     }
 }

@@ -1,50 +1,8 @@
-//! Regenerates Table 5 (correlated release failures).
-//!
-//! Usage: `table5 [--quick] [--calibrated] [--jobs N]
-//! [--trace PATH] [--metrics PATH] [--serve-metrics PORT]
-//! [--serve-hold SECS] [--phase-metrics]` — `--calibrated` uses the
-//! execution-time model whose unconditional MET matches the paper's
-//! reported values (see EXPERIMENTS.md); `--jobs` picks the
-//! replication worker-pool size (default: one per hardware thread)
-//! without changing any output; `--trace`/`--metrics`
-//! write a JSONL event trace and a metrics snapshot without changing
-//! the table on stdout; `--serve-metrics` serves the snapshot live on
-//! `http://127.0.0.1:PORT/metrics` (`--serve-hold` keeps it up after
-//! the run); `--phase-metrics` adds the wall-clock `wsu_phase_seconds`
-//! gauges to the snapshot. Any other argument, or a malformed value,
-//! is a usage error (exit status 2).
-
-use wsu_experiments::obs::{check_flags_from_env, jobs_from_env, ObsOptions};
-use wsu_experiments::table5::run_table5_jobs;
-use wsu_experiments::{DEFAULT_SEED, PAPER_REQUESTS, PAPER_TIMEOUTS};
-use wsu_workload::timing::ExecTimeModel;
-
-const USAGE: &str = "table5 [--quick] [--calibrated] [--jobs N] [--trace PATH] [--metrics PATH] \
-                     [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]";
+//! Regenerates Table 5 (correlated release failures); `--calibrated`
+//! uses the execution-time model whose unconditional MET matches the
+//! paper's reported values (see EXPERIMENTS.md). The step is defined in
+//! `wsu_experiments::suite`.
 
 fn main() {
-    check_flags_from_env(USAGE, &[("--quick", false), ("--calibrated", false)]);
-    let quick = std::env::args().any(|a| a == "--quick");
-    let calibrated = std::env::args().any(|a| a == "--calibrated");
-    let jobs = jobs_from_env(USAGE);
-    let mut ctx = ObsOptions::from_env(USAGE).context();
-    let timing = if calibrated {
-        ExecTimeModel::calibrated()
-    } else {
-        ExecTimeModel::paper()
-    };
-    let requests = if quick { 2_000 } else { PAPER_REQUESTS };
-    let sinks = ctx.sinks();
-    let table = ctx.time("table5/simulate", || {
-        run_table5_jobs(
-            DEFAULT_SEED,
-            requests,
-            &PAPER_TIMEOUTS,
-            timing,
-            &sinks,
-            jobs,
-        )
-    });
-    print!("{}", table.render());
-    ctx.finish().expect("write observability outputs");
+    wsu_experiments::suite::step_main("table5");
 }

@@ -140,23 +140,10 @@ pub fn confidence_error_bound_holds(perfect: &StudyRun, imperfect: &StudyRun, up
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsu_bayes::whitebox::Resolution;
     use wsu_simcore::rng::MasterSeed;
 
     fn quick(demands: u64, every: u64) -> StudyConfig {
-        StudyConfig {
-            demands,
-            checkpoint_every: every,
-            resolution: Resolution {
-                a_cells: 32,
-                b_cells: 32,
-                q_cells: 8,
-            },
-            adaptive: None,
-            confidence: 0.99,
-            target: 1e-3,
-            seed: MasterSeed::new(21),
-        }
+        StudyConfig::test(demands, every, MasterSeed::new(21))
     }
 
     #[test]

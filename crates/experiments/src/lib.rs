@@ -13,6 +13,11 @@
 //! | Table 6 (independent releases) | [`table6`] | `table6` |
 //! | Ablations (adjudicators, modes, coverage, priors) | [`ablation`] | `ablations` |
 //!
+//! [`suite`] is the step table: each artefact's scale, flags and output
+//! files are defined there once, and the experiment binaries and `all`
+//! only look them up. [`cli`] is the one command-line parser every
+//! binary uses.
+//!
 //! Shared drivers: [`bayes_study`] (Monte-Carlo demands + white-box
 //! inference checkpoints, Section 5.1) and [`midsim`] (the event-driven
 //! middleware simulation, Section 5.2). [`report`] renders aligned text
@@ -36,6 +41,7 @@ pub mod analyze;
 pub mod bayes_study;
 pub mod campaign;
 pub mod capacity;
+pub mod cli;
 pub mod figures;
 pub mod fleetstudy;
 pub mod loadgen;
@@ -45,6 +51,7 @@ pub mod replicate;
 pub mod report;
 pub mod scalestudy;
 pub mod serve;
+pub mod suite;
 pub mod table2;
 pub mod table5;
 pub mod table6;
@@ -59,6 +66,9 @@ pub const DEFAULT_SEED: MasterSeed = MasterSeed::new(0x5745_4253_5643_5550); // 
 
 /// Number of requests in the paper's middleware simulation (Tables 5–6).
 pub const PAPER_REQUESTS: u64 = 10_000;
+
+/// Number of requests per middleware-simulation cell at `--quick` scale.
+pub const QUICK_REQUESTS: u64 = 2_000;
 
 /// The timeouts of the paper's middleware simulation, in seconds.
 pub const PAPER_TIMEOUTS: [f64; 3] = [1.5, 2.0, 3.0];

@@ -1,6 +1,7 @@
 //! `--trace` / `--metrics` wiring shared by the experiment binaries.
 //!
-//! Every binary accepts the same optional flags:
+//! Every experiment binary declares the same optional flags
+//! ([`OBS_FLAGS`]):
 //!
 //! * `--trace <path>` — write the run's event trace there as JSONL;
 //! * `--metrics <path>` — write a Prometheus-text metrics snapshot;
@@ -20,16 +21,26 @@
 use std::fs;
 use std::io;
 use std::path::PathBuf;
+use std::time::Duration;
 
 use wsu_obs::{
     MetricsExporter, PhaseTimings, Recorder, SharedRecorder, SharedRegistry, TraceEvent,
 };
-use wsu_simcore::par::Jobs;
 
 use crate::bayes_study::StudyRun;
+use crate::cli::{Args, Flag, Kind};
 use crate::midsim::ObsSinks;
 
-/// The observability flags parsed from a binary's command line.
+/// The observability flags every experiment binary declares.
+pub const OBS_FLAGS: [Flag; 5] = [
+    Flag::new("--trace", Kind::Path, "a JSONL trace path"),
+    Flag::new("--metrics", Kind::Path, "a metrics snapshot path"),
+    Flag::new("--serve-metrics", Kind::Port, "a port number"),
+    Flag::new("--serve-hold", Kind::Seconds, "a number of seconds"),
+    Flag::new("--phase-metrics", Kind::Switch, "export phase gauges"),
+];
+
+/// The observability flags of one command line.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsOptions {
     /// Destination for the JSONL event trace, if requested.
@@ -38,115 +49,35 @@ pub struct ObsOptions {
     pub metrics: Option<PathBuf>,
     /// Loopback port for the live metrics server, if requested.
     pub serve: Option<u16>,
-    /// Seconds to keep the metrics server up after the run.
-    pub serve_hold: Option<f64>,
+    /// How long to keep the metrics server up after the run.
+    pub serve_hold: Option<Duration>,
     /// Whether the wall-clock `wsu_phase_seconds` gauges are exported.
     pub phase_metrics: bool,
 }
 
 impl ObsOptions {
-    /// Scans `args` for the observability flags.
-    ///
-    /// Unrelated arguments are left alone, so binaries keep their own
-    /// flag handling untouched. A `--serve-metrics` value that is not a
-    /// port number, or a `--serve-hold` value that is not a finite
-    /// number, is an error, never a silent fallback.
-    pub fn parse(args: &[String]) -> Result<ObsOptions, String> {
-        fn raw_value_after<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
+    /// Reads the [`OBS_FLAGS`] from arguments parsed against them.
+    pub fn from_args(args: &Args) -> ObsOptions {
+        ObsOptions {
+            trace: args.get("--trace"),
+            metrics: args.get("--metrics"),
+            serve: args.get("--serve-metrics"),
+            serve_hold: args.seconds("--serve-hold"),
+            phase_metrics: args.switch("--phase-metrics"),
         }
-        fn value_after(args: &[String], flag: &str) -> Option<PathBuf> {
-            raw_value_after(args, flag).map(PathBuf::from)
-        }
-        fn parsed_after<T>(
-            args: &[String],
-            flag: &str,
-            what: &str,
-            parse: fn(&str) -> Option<T>,
-        ) -> Result<Option<T>, String> {
-            raw_value_after(args, flag)
-                .map(|v| parse(v).ok_or_else(|| format!("{flag}: expected {what}, got {v:?}")))
-                .transpose()
-        }
-        Ok(ObsOptions {
-            trace: value_after(args, "--trace"),
-            metrics: value_after(args, "--metrics"),
-            serve: parsed_after(args, "--serve-metrics", "a port number", |v| v.parse().ok())?,
-            serve_hold: parsed_after(args, "--serve-hold", "a number of seconds", |v| {
-                v.parse().ok().filter(|secs: &f64| secs.is_finite())
-            })?,
-            phase_metrics: args.iter().any(|a| a == "--phase-metrics"),
-        })
-    }
-
-    /// Parses the current process's arguments; a malformed value exits
-    /// through [`exit_usage`] with `usage`.
-    pub fn from_env(usage: &str) -> ObsOptions {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        ObsOptions::parse(&args).unwrap_or_else(|e| exit_usage(usage, &e))
     }
 }
 
-/// The flags every experiment binary shares, as `(flag, takes a value)`:
-/// `--jobs` and the observability flags.
-pub const SHARED_FLAGS: [(&str, bool); 6] = [
-    ("--jobs", true),
-    ("--trace", true),
-    ("--metrics", true),
-    ("--serve-metrics", true),
-    ("--serve-hold", true),
-    ("--phase-metrics", false),
-];
-
-/// Checks that `args` holds only known flags: the binary's `own` flags
-/// and [`SHARED_FLAGS`], each given as `(flag, takes a value)`. An
-/// unknown flag, a stray positional argument or a valued flag without
-/// its value is an error.
-pub fn check_flags(args: &[String], own: &[(&str, bool)]) -> Result<(), String> {
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        let known = own
-            .iter()
-            .chain(SHARED_FLAGS.iter())
-            .find(|(f, _)| f == arg);
-        match known {
-            Some((_, false)) => {}
-            Some((flag, true)) => {
-                rest.next()
-                    .ok_or_else(|| format!("{flag}: expected a value"))?;
-            }
-            None if arg.starts_with('-') => return Err(format!("unknown flag {arg:?}")),
-            None => return Err(format!("unexpected argument {arg:?}")),
-        }
-    }
-    Ok(())
-}
-
-/// [`check_flags`] on the current process's arguments; a rejected
-/// argument exits through [`exit_usage`] with `usage`.
-pub fn check_flags_from_env(usage: &str, own: &[(&str, bool)]) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    check_flags(&args, own).unwrap_or_else(|e| exit_usage(usage, &e));
-}
-
-/// Keeps the `entries` named by the `flag NAME` pairs in `args` (the
-/// flag is repeatable), in `entries` order; without any `flag`, keeps
-/// them all. A name that matches no entry is an error listing the
-/// available names, so a typo never silently shrinks the run.
+/// Keeps the `entries` named in `wanted` (the values of the repeatable
+/// `flag`), in `entries` order; with no name wanted, keeps them all. A
+/// name that matches no entry is an error listing the available names,
+/// so a typo never silently shrinks the run.
 pub fn select_named<T>(
-    args: &[String],
+    wanted: &[&str],
     flag: &str,
     mut entries: Vec<T>,
     name: impl Fn(&T) -> &str,
 ) -> Result<Vec<T>, String> {
-    let wanted: Vec<&String> = args
-        .iter()
-        .zip(args.iter().skip(1))
-        .filter(|(a, _)| *a == flag)
-        .map(|(_, v)| v)
-        .collect();
     if wanted.is_empty() {
         return Ok(entries);
     }
@@ -160,42 +91,8 @@ pub fn select_named<T>(
             available.join(", ")
         ));
     }
-    entries.retain(|e| wanted.iter().any(|w| name(e) == *w));
+    entries.retain(|e| wanted.contains(&name(e)));
     Ok(entries)
-}
-
-/// Parses the shared `--jobs N` flag: `N` workers (`0` clamped to 1);
-/// absent means one worker per available hardware thread. A missing or
-/// non-numeric value is an error, never a silent fallback.
-/// The worker count never changes any output — replications merge in
-/// replication order regardless of which worker ran them.
-pub fn jobs_from_args(args: &[String]) -> Result<Jobs, String> {
-    let Some(i) = args.iter().position(|a| a == "--jobs") else {
-        return Ok(Jobs::auto());
-    };
-    match args.get(i + 1).map(|v| v.parse::<usize>()) {
-        Some(Ok(n)) => Ok(Jobs::new(n)),
-        Some(Err(_)) => Err(format!(
-            "--jobs: expected a worker count, got {:?}",
-            args[i + 1]
-        )),
-        None => Err("--jobs: expected a worker count".to_owned()),
-    }
-}
-
-/// [`jobs_from_args`] on the current process's arguments; a malformed
-/// `--jobs` exits through [`exit_usage`] with `usage`.
-pub fn jobs_from_env(usage: &str) -> Jobs {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    jobs_from_args(&args).unwrap_or_else(|e| exit_usage(usage, &e))
-}
-
-/// Reports a command-line error and the binary's usage line on stderr
-/// and exits with status 2.
-pub fn exit_usage(usage: &str, error: &str) -> ! {
-    eprintln!("error: {error}");
-    eprintln!("usage: {usage}");
-    std::process::exit(2);
 }
 
 impl ObsOptions {
@@ -237,18 +134,6 @@ impl ObsContext {
     /// `true` when at least one output was requested.
     pub fn enabled(&self) -> bool {
         self.recorder.is_some() || self.metrics.is_some()
-    }
-
-    /// Publishes the registry's current rendering to the live exporter.
-    /// A no-op without `--serve-metrics`. Call it whenever a progress
-    /// milestone makes the registry worth scraping; [`finish`] publishes
-    /// the final state either way.
-    ///
-    /// [`finish`]: ObsContext::finish
-    pub fn publish(&self) {
-        if let (Some(exporter), Some(metrics)) = (&self.exporter, &self.metrics) {
-            exporter.publish_metrics(&metrics.render_snapshot());
-        }
     }
 
     /// Publishes a JSON document on the exporter's `/snapshot` route. A
@@ -375,10 +260,11 @@ impl ObsContext {
                 exporter.publish_metrics(&rendered);
                 if let Some(hold) = self.options.serve_hold {
                     eprintln!(
-                        "metrics: holding http://{}/metrics for {hold}s",
-                        exporter.local_addr()
+                        "metrics: holding http://{}/metrics for {}s",
+                        exporter.local_addr(),
+                        hold.as_secs_f64()
                     );
-                    std::thread::sleep(std::time::Duration::from_secs_f64(hold.max(0.0)));
+                    std::thread::sleep(hold);
                 }
             }
         }
@@ -392,36 +278,26 @@ impl ObsContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::Cli;
 
-    fn strs(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn jobs_flag_parses_strictly() {
-        assert_eq!(jobs_from_args(&strs(&["--quick"])), Ok(Jobs::auto()));
-        assert_eq!(
-            jobs_from_args(&strs(&["--jobs", "3", "--quick"])),
-            Ok(Jobs::new(3))
+    fn parse(args: &[&str]) -> Result<ObsOptions, String> {
+        let cli = Cli::new(
+            "obs",
+            &[&[Flag::new("--quick", Kind::Switch, "")], &OBS_FLAGS],
         );
-        assert_eq!(jobs_from_args(&strs(&["--jobs", "0"])), Ok(Jobs::serial()));
-        for bad in [&["--jobs", "abc"][..], &["--jobs", "-1"], &["--jobs"]] {
-            let err = jobs_from_args(&strs(bad)).expect_err("malformed --jobs");
-            assert!(err.starts_with("--jobs: expected a worker count"), "{err}");
-        }
+        cli.parse(args).map(|args| ObsOptions::from_args(&args))
     }
 
     #[test]
     fn parses_both_flags_anywhere() {
-        let args = strs(&["--quick", "--trace", "t.jsonl", "--metrics", "m.prom"]);
-        let opts = ObsOptions::parse(&args).unwrap();
+        let opts = parse(&["--quick", "--trace", "t.jsonl", "--metrics", "m.prom"]).unwrap();
         assert_eq!(opts.trace, Some(PathBuf::from("t.jsonl")));
         assert_eq!(opts.metrics, Some(PathBuf::from("m.prom")));
     }
 
     #[test]
     fn missing_flags_disable_everything() {
-        let opts = ObsOptions::parse(&strs(&["--quick"])).unwrap();
+        let opts = parse(&["--quick"]).unwrap();
         assert_eq!(opts, ObsOptions::default());
         let ctx = opts.context();
         assert!(!ctx.enabled());
@@ -430,17 +306,8 @@ mod tests {
     }
 
     #[test]
-    fn flag_without_value_is_ignored() {
-        let opts = ObsOptions::parse(&strs(&["--trace"])).unwrap();
-        assert_eq!(opts.trace, None);
-        let opts = ObsOptions::parse(&strs(&["--serve-metrics"])).unwrap();
-        assert_eq!(opts.serve, None);
-    }
-
-    #[test]
     fn non_numeric_serve_values_are_errors() {
-        let err = ObsOptions::parse(&strs(&["--serve-metrics", "not-a-port"]))
-            .expect_err("non-numeric port");
+        let err = parse(&["--serve-metrics", "not-a-port"]).expect_err("non-numeric port");
         assert_eq!(
             err,
             "--serve-metrics: expected a port number, got \"not-a-port\""
@@ -450,10 +317,12 @@ mod tests {
             &["--serve-metrics", "-1"],
             &["--serve-hold", "inf"],
             &["--serve-hold", "NaN"],
+            &["--serve-hold", "-1"],
+            &["--serve-hold", "1e30"],
         ] {
-            assert!(ObsOptions::parse(&strs(bad)).is_err(), "{bad:?}");
+            assert!(parse(bad).is_err(), "{bad:?}");
         }
-        let err = ObsOptions::parse(&strs(&["--serve-hold", "soon"])).expect_err("bad hold");
+        let err = parse(&["--serve-hold", "soon"]).expect_err("bad hold");
         assert!(
             err.starts_with("--serve-hold: expected a number of seconds"),
             "{err}"
@@ -463,54 +332,27 @@ mod tests {
     #[test]
     fn select_named_rejects_any_unknown_name() {
         let names = || vec!["a", "b", "c"];
-        let pick = |args: &[&str]| select_named(&strs(args), "--plan", names(), |n| n);
-        assert_eq!(pick(&["--quick"]), Ok(names()));
-        assert_eq!(pick(&["--plan", "c", "--plan", "a"]), Ok(vec!["a", "c"]));
-        for bad in [&["--plan", "x"][..], &["--plan", "a", "--plan", "x"]] {
+        let pick = |wanted: &[&str]| select_named(wanted, "--plan", names(), |n| n);
+        assert_eq!(pick(&[]), Ok(names()));
+        assert_eq!(pick(&["c", "a"]), Ok(vec!["a", "c"]));
+        for bad in [&["x"][..], &["a", "x"]] {
             let err = pick(bad).expect_err("unknown name");
             assert_eq!(err, "--plan: unknown name \"x\"; available: a, b, c");
         }
     }
 
     #[test]
-    fn check_flags_accepts_own_and_shared_flags_only() {
-        let own = [("--quick", false), ("--cell", true)];
-        let ok = strs(&[
-            "--quick",
-            "--cell",
-            "canary",
-            "--jobs",
-            "2",
-            "--trace",
-            "t.jsonl",
-            "--phase-metrics",
-        ]);
-        assert_eq!(check_flags(&ok, &own), Ok(()));
-        assert_eq!(check_flags(&[], &own), Ok(()));
-        let err = check_flags(&strs(&["--quick", "--shards", "2"]), &own).unwrap_err();
-        assert_eq!(err, "unknown flag \"--shards\"");
-        let err = check_flags(&strs(&["--quick", "extra"]), &own).unwrap_err();
-        assert_eq!(err, "unexpected argument \"extra\"");
-        let err = check_flags(&strs(&["--cell"]), &own).unwrap_err();
-        assert_eq!(err, "--cell: expected a value");
-        // A valued flag consumes the next argument even if it looks
-        // like a flag, so `--trace --quick` writes to a file named
-        // `--quick`, as `ObsOptions::parse` reads it.
-        assert_eq!(check_flags(&strs(&["--trace", "--quick"]), &own), Ok(()));
-    }
-
-    #[test]
     fn parses_serve_and_phase_flags() {
-        let args = strs(&[
+        let opts = parse(&[
             "--serve-metrics",
             "9184",
             "--serve-hold",
             "2.5",
             "--phase-metrics",
-        ]);
-        let opts = ObsOptions::parse(&args).unwrap();
+        ])
+        .unwrap();
         assert_eq!(opts.serve, Some(9184));
-        assert_eq!(opts.serve_hold, Some(2.5));
+        assert_eq!(opts.serve_hold, Some(Duration::from_millis(2500)));
         assert!(opts.phase_metrics);
     }
 
@@ -524,9 +366,10 @@ mod tests {
         assert!(ctx.enabled());
         let metrics = ctx.metrics.clone().expect("serve implies a registry");
         metrics.inc_counter("wsu_demands_total", &[]);
-        ctx.publish();
+        let exporter = ctx.exporter.as_ref().unwrap();
+        exporter.publish_metrics(&metrics.render_snapshot());
         ctx.publish_snapshot("{\"ok\":true}");
-        let addr = ctx.exporter.as_ref().unwrap().local_addr();
+        let addr = exporter.local_addr();
         let resp = wsu_obs::http_get(addr, "/metrics").expect("GET /metrics");
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, metrics.render_snapshot());

@@ -156,34 +156,12 @@ fn run_tables(pairs: &[(StudyConfig, StudyConfig)], jobs: Jobs) -> Vec<Table2> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsu_bayes::whitebox::Resolution;
 
     fn quick_configs() -> (StudyConfig, StudyConfig) {
         let seed = MasterSeed::new(5);
-        let res = Resolution {
-            a_cells: 32,
-            b_cells: 32,
-            q_cells: 8,
-        };
         (
-            StudyConfig {
-                demands: 6_000,
-                checkpoint_every: 500,
-                resolution: res,
-                adaptive: None,
-                confidence: 0.99,
-                target: 1e-3,
-                seed,
-            },
-            StudyConfig {
-                demands: 4_000,
-                checkpoint_every: 200,
-                resolution: res,
-                adaptive: None,
-                confidence: 0.99,
-                target: 1e-3,
-                seed,
-            },
+            StudyConfig::test(6_000, 500, seed),
+            StudyConfig::test(4_000, 200, seed),
         )
     }
 
